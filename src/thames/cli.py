@@ -32,6 +32,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -165,12 +166,10 @@ def _rows_from_jsonl(path):
             yield line_no, record
 
 
-def load_table(path):
-    """Parse a draw table into (draws: T x d, log_post: T).
+def _load_table_rows(path):
+    """Row-by-row parse of a draw table; the reference for load_table.
 
-    CSV with a header row by default; JSONL when the extension is
-    .jsonl. Rows with a chain column are concatenated in file order.
-    Separate log_prior/log_likelihood columns are summed.
+    Reports the line and column of the first bad value.
     """
     rows = _rows_from_jsonl(path) if path.endswith(".jsonl") else _rows_from_csv(path)
     theta_names = density_names = None
@@ -190,43 +189,114 @@ def load_table(path):
     return np.asarray(draws, dtype=float), np.asarray(log_post, dtype=float)
 
 
+def _load_csv_columns(path):
+    """One np.loadtxt pass over a CSV body, or None to defer to the row parser.
+
+    loadtxt converts with PyOS_string_to_double, the parser behind
+    float(), and quotes fields as csv's default dialect does. usecols is
+    left unset so that loadtxt rejects a row whose field count differs
+    from the first row's; with usecols it would drop extra fields
+    silently. Unused columns go through a converter that ignores them.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            return None
+        names = [h.strip() for h in header]
+        try:
+            theta_names, density_names = _classify_columns(list(dict.fromkeys(names)))
+        except ParseError:
+            return None
+        # the last of duplicated names wins, as in _rows_from_csv's dict(zip(...))
+        column = {name: i for i, name in enumerate(names)}
+        theta_idx = [column[n] for n in theta_names]
+        density_idx = [column[n] for n in density_names]
+        used = set(theta_idx + density_idx)
+        skipped = {i: lambda token: 0.0 for i in range(len(names)) if i not in used}
+        try:
+            with warnings.catch_warnings():
+                # an empty body warns "input contained no data"
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                   dtype=float, ndmin=2, converters=skipped)
+        except ValueError:
+            return None
+    if table.shape[0] == 0 or table.shape[1] != len(names):
+        return None
+    draws = table.take(theta_idx, axis=1)  # C-contiguous, unlike table[:, idx]
+    density = table.take(density_idx, axis=1)
+    if (not np.isfinite(draws).all() or np.isnan(density).any()
+            or (density == np.inf).any()):
+        return None
+    # left to right from 0, as sum() does: 0.0 + -0.0 is 0.0
+    log_post = np.zeros(len(table))
+    for col in density.T:
+        log_post += col
+    return draws, log_post
+
+
+def load_table(path):
+    """Parse a draw table into (draws: T x d, log_post: T).
+
+    CSV with a header row by default; JSONL when the extension is
+    .jsonl. Rows with a chain column are concatenated in file order.
+    Separate log_prior/log_likelihood columns are summed.
+
+    CSV is parsed in one vectorized pass. Any input that pass cannot
+    settle (a bad value, a ragged row, a token float() accepts and
+    loadtxt does not, such as 1_0) goes to the row parser, which returns
+    the same arrays or raises the ParseError with its line number.
+    """
+    if not path.endswith(".jsonl"):
+        tables = _load_csv_columns(path)
+        if tables is not None:
+            return tables
+    return _load_table_rows(path)
+
+
 # ---------------------------------------------------------------------------
 # Flag parsing
 # ---------------------------------------------------------------------------
 
 
 def parse_radius_policy(spec):
-    if spec == "sqrt_d_plus_1":
-        return RadiusPolicy.sqrt_d_plus_1()
-    if spec == "chisq_median":
-        return RadiusPolicy.chisq_median()
-    if spec == "optimal":
-        return RadiusPolicy.optimal()
-    if spec.startswith("fixed:"):
-        return RadiusPolicy.fixed(float(spec[len("fixed:"):]))
-    if spec.startswith("grid:"):
-        values = [float(tok) for tok in spec[len("grid:"):].split(",") if tok]
-        return RadiusPolicy.empirical_grid(values)
+    try:
+        if spec == "sqrt_d_plus_1":
+            return RadiusPolicy.sqrt_d_plus_1()
+        if spec == "chisq_median":
+            return RadiusPolicy.chisq_median()
+        if spec == "optimal":
+            return RadiusPolicy.optimal()
+        if spec.startswith("fixed:"):
+            return RadiusPolicy.fixed(float(spec[len("fixed:"):]))
+        if spec.startswith("grid:"):
+            values = [float(tok) for tok in spec[len("grid:"):].split(",") if tok]
+            return RadiusPolicy.empirical_grid(values)
+    except (InvalidInput, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"radius policy {spec!r}: {exc}")
     raise argparse.ArgumentTypeError(
         f"unknown radius policy {spec!r}; expected sqrt_d_plus_1, fixed:<c>, "
         "chisq_median, optimal, or grid:<c1,c2,...>")
 
 
 def parse_support(spec):
-    if spec == "unbounded":
-        return SupportPredicate.unbounded()
-    if spec == "simplex":
-        return SupportPredicate.simplex()
-    if spec.startswith("positive:"):
-        idx = [int(tok) for tok in spec[len("positive:"):].split(",") if tok]
-        return SupportPredicate.positive_orthant(idx)
-    if spec.startswith("box:"):
-        lower, upper = [], []
-        for pair in spec[len("box:"):].split(","):
-            lo, _, up = pair.partition(":")
-            lower.append(float(lo))
-            upper.append(float(up))
-        return SupportPredicate.box(lower, upper)
+    try:
+        if spec == "unbounded":
+            return SupportPredicate.unbounded()
+        if spec == "simplex":
+            return SupportPredicate.simplex()
+        if spec.startswith("positive:"):
+            idx = [int(tok) for tok in spec[len("positive:"):].split(",") if tok]
+            return SupportPredicate.positive_orthant(idx)
+        if spec.startswith("box:"):
+            lower, upper = [], []
+            for pair in spec[len("box:"):].split(","):
+                lo, _, up = pair.partition(":")
+                lower.append(float(lo))
+                upper.append(float(up))
+            return SupportPredicate.box(lower, upper)
+    except (InvalidInput, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"support {spec!r}: {exc}")
     raise argparse.ArgumentTypeError(
         f"unknown support {spec!r}; expected unbounded, positive:i,j,..., "
         "box:lo:hi,lo:hi,..., or simplex")
@@ -560,7 +630,9 @@ def build_parser():
     p_cor.add_argument("input")
     p_cor.add_argument("--support", type=parse_support, required=True,
                        help="unbounded | positive:i,j,... | "
-                            "box:lo:hi,lo:hi,... | simplex")
+                            "box:lo:hi,lo:hi,... | simplex; indices count "
+                            "from 0, so theta_1..theta_10 are "
+                            "positive:0,...,9")
     p_cor.add_argument("--n", type=int, default=100)
     p_cor.add_argument("--radius", type=parse_radius_policy,
                        default=RadiusPolicy.sqrt_d_plus_1())

@@ -68,7 +68,10 @@ class SupportPredicate:
             return np.ones(n, dtype=bool)
         if self.kind == "positive_orthant":
             self._check_indices(d)
-            return np.all(pts[:, list(self.indices)] > 0.0, axis=1)
+            hits = np.ones(n, dtype=bool)
+            for i in self.indices:
+                hits &= pts[:, i] > 0.0
+            return hits
         if self.kind == "box":
             if len(self.lower) != d:
                 raise InvalidInput("box bounds do not match dimension")
@@ -102,6 +105,9 @@ class ConstrainedCorrectionConfig:
             raise InvalidInput("n_samples must be >= 1")
 
 
+_BLOCK_ROWS = 1 << 14
+
+
 def _rng(seed):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
@@ -116,11 +122,18 @@ def sample_uniform_ellipsoid(e: Ellipsoid, n, seed):
     rng = _rng(seed)
     d = e.dim
     g = rng.standard_normal((n, d))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0  # measure-zero guard
-    s = g / norms
     r = e.radius * rng.random(n) ** (1.0 / d)
-    return e.center + (s * r[:, None]) @ e.scale.T
+    # each block of rows is turned into points in place, so at most one
+    # block of temporaries is alive beside the n x d output
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        blk = g[rows]
+        norms = np.linalg.norm(blk, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0  # measure-zero guard
+        blk /= norms
+        blk *= r[rows, None]
+        g[rows] = e.center + blk @ e.scale.T
+    return g
 
 
 def estimate_volume_ratio(e: Ellipsoid, support: SupportPredicate, n, seed,

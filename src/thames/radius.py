@@ -17,7 +17,6 @@ and the d=1,2 closed forms are kept as test oracles only.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln, logsumexp
 
 from .errors import InvalidInput, NumericalFailure, Overflow
@@ -36,11 +35,11 @@ class RadiusPolicy:
 
     def __post_init__(self):
         if self.kind == "fixed":
-            if self.value is None or self.value <= 0:
-                raise InvalidInput("fixed radius must be positive")
+            if self.value is None or not 0 < self.value < np.inf:
+                raise InvalidInput("fixed radius must be finite and positive")
         elif self.kind == "grid":
-            if not self.grid or any(c <= 0 for c in self.grid):
-                raise InvalidInput("radius grid must be nonempty and positive")
+            if not self.grid or any(not 0 < c < np.inf for c in self.grid):
+                raise InvalidInput("radius grid must be nonempty, finite and positive")
         elif self.kind not in ("sqrt_d_plus_1", "chisq_median", "optimal"):
             raise InvalidInput(f"unknown radius policy {self.kind!r}")
 
@@ -139,6 +138,8 @@ def _foc(d, c):
 
 def optimal_radius(d):
     """Unique SCV-minimizing radius, solved by bracketing on [sqrt(d), sqrt(d+4)]."""
+    from scipy.optimize import brentq
+
     d = _check_dim(d)
     lo, hi = np.sqrt(d), np.sqrt(d + 4.0)
     g = lambda c: _foc(d, c)
@@ -199,6 +200,8 @@ def regularized_gamma_p(a, x, tol=1e-14, max_iter=2000):
 
 def chi_square_median_radius(d):
     """sqrt of the chi-squared(d) median, by root-finding P(d/2, x/2) = 1/2."""
+    from scipy.optimize import brentq
+
     d = _check_dim(d)
     g = lambda x: regularized_gamma_p(0.5 * d, 0.5 * x) - 0.5
     # the median lies in (d - 1, d) for every d >= 1

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from thames.cli import (
+    _load_csv_columns,
+    _load_table_rows,
     format_float,
     load_table,
     main,
@@ -115,6 +117,81 @@ class TestLoadTable:
             load_table(path)
 
 
+H2 = "theta_1,log_unnorm_posterior\n"
+
+# (case, file text, whether the vectorized pass settles it without the
+# row parser)
+INGEST_CASES = [
+    ("reordered columns, string chain ids",
+     "chain,log_likelihood,theta_2,log_prior,theta_1\n"
+     "c1,-1.5,0.2,-0.5,0.1\nchain-2,-2.5,0.3,-0.25,-0.4\n", True),
+    ("duplicated header name, last wins",
+     "theta_1,theta_1,log_unnorm_posterior\nabc,0.5,-1\n7,0.25,-2\n", True),
+    ("quotes, padding, CRLF, blank lines",
+     'theta_1,"log_unnorm_posterior"\r\n"1.5", -2.0 \r\n\r\n 0.25 ,"-3"\r\n'
+     "\r\n4,5\r\n", True),
+    ("quoted newline in an unused column",
+     'theta_1,note,log_unnorm_posterior\n1,"a\nb",2\n3,c,4\n', True),
+    ("whitespace-only line", H2 + "1,2\n   \n3,4\n", False),
+    ("row with one extra field", H2 + "1,2\n1.0,1,5\n", False),
+    ("row with one missing field",
+     "theta_1,log_unnorm_posterior,chain\n1,2,a\n3,4\n", False),
+    ("short row offset by a long row",
+     "theta_1,log_unnorm_posterior,chain\n1,2\n3,4,a,b\n", False),
+    ("nan theta on line 3", H2 + "1,2\nnan,4\n", False),
+    ("inf theta on line 3", H2 + "1,2\ninf,4\n", False),
+    ("-inf theta on line 4", H2 + "1,2\n3,4\n-inf,4\n", False),
+    ("-inf log_prior, finite log_likelihood",
+     "theta_1,log_prior,log_likelihood\n1,-inf,-2\n2,-1,-3\n", True),
+    ("+inf density", H2 + "1,2\n3,inf\n", False),
+    ("nan density", H2 + "1,nan\n", False),
+    ("negative zero density sums to positive zero",
+     "theta_1,log_prior,log_likelihood\n1,-0.0,-0.0\n", True),
+    ("underscore digits", H2 + "1_0,2\n3,4\n", False),
+    ("quoted comma", H2 + '"1,5",2\n', False),
+    ("unparseable token", H2 + "1,2\nzzz,4\n", False),
+    ("no density columns", "theta_1,other\n1.0,2.0\n", False),
+    ("header only", H2, False),
+    ("empty file", "", False),
+]
+
+
+class TestVectorizedIngest:
+    """load_table must agree with the row parser it replaces on every input."""
+
+    @pytest.mark.parametrize("text, vectorized",
+                             [case[1:] for case in INGEST_CASES],
+                             ids=[case[0] for case in INGEST_CASES])
+    def test_matches_row_parser(self, tmp_path, capsys, text, vectorized):
+        path = str(tmp_path / "draws.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert (_load_csv_columns(path) is not None) == vectorized
+        try:
+            expected = _load_table_rows(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                load_table(path)
+            assert (str(got.value), got.value.line) == (str(exc), exc.line)
+            code, out = run_cli(capsys, "estimate", path)
+            assert code == 3
+            assert json.loads(out) == {"error": "parse", "message": str(exc),
+                                       "line": exc.line}
+            return
+        got = load_table(path)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.flags["C_CONTIGUOUS"]
+
+    def test_generated_table_is_vectorized_and_identical(self, tmp_path):
+        path = str(tmp_path / "draws.csv")
+        write_draw_csv(path, d=5, t=3000)
+        fast = _load_csv_columns(path)
+        assert fast is not None
+        for a, b in zip(fast, _load_table_rows(path)):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestFlagParsing:
     def test_radius_policies(self):
         assert parse_radius_policy("sqrt_d_plus_1").kind == "sqrt_d_plus_1"
@@ -188,6 +265,23 @@ class TestEstimateCommand:
         code, out = run_cli(capsys, "estimate", path, "--no-split")
         assert code == 4
         assert json.loads(out)["error"] == "numerical"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--radius", "fixed:-1"),
+        ("--radius", "fixed:nan"),
+        ("--radius", "fixed:inf"),
+        ("--radius", "grid:"),
+        ("--radius", "grid:1,nan"),
+        ("--support", "box:1:0"),
+        ("--support", "positive:x"),
+    ])
+    def test_bad_flag_value_exit_code(self, tmp_path, capsys, flag, value):
+        path = str(tmp_path / "draws.csv")
+        write_draw_csv(path, t=200)
+        code, out = run_cli(capsys, "correct", path, "--support", "unbounded",
+                            flag, value)
+        assert code == 2
+        assert out == ""  # rejected while parsing flags, before the table is read
 
     def test_usage_error_exit_code(self, capsys):
         code = main(["estimate"])  # missing input path

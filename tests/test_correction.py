@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thames.correction import (
+    _BLOCK_ROWS,
     ConstrainedCorrectionConfig,
     SupportPredicate,
     apply_correction,
@@ -53,6 +54,13 @@ class TestSupportPredicate:
         with pytest.raises(InvalidInput):
             SupportPredicate.positive_orthant([3]).contains(np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("indices", [[], [2], [0, 3, 1], [1, 1, 4]])
+    def test_positive_orthant_matches_fancy_index_form(self, indices):
+        pts = np.random.default_rng(11).standard_normal((2000, 5))
+        pts[::7, 1] = 0.0  # the boundary is outside the open orthant
+        got = SupportPredicate.positive_orthant(indices).contains(pts)
+        assert np.array_equal(got, np.all(pts[:, indices] > 0.0, axis=1))
+
 
 class TestUniformSampling:
     def test_all_points_inside(self):
@@ -86,6 +94,23 @@ class TestUniformSampling:
         e = Ellipsoid(np.array([3.0, -1.0]), np.eye(2), 1.5)
         pts = sample_uniform_ellipsoid(e, 50_000, seed=2)
         assert np.allclose(pts.mean(axis=0), e.center, atol=0.02)
+
+    @pytest.mark.parametrize("d", [1, 10, 100])
+    @pytest.mark.parametrize("n", [1000, 2 * _BLOCK_ROWS, 33_333])
+    def test_blockwise_matches_whole_array_formula(self, n, d):
+        rng = np.random.default_rng(d)
+        scale = np.tril(rng.standard_normal((d, d)))
+        np.fill_diagonal(scale, 1.0 + rng.random(d))
+        e = Ellipsoid(rng.standard_normal(d), scale, math.sqrt(d + 1.0))
+        # the whole-array formula, kept as the reference for the block loop
+        gen = np.random.Generator(np.random.Philox(key=np.uint64(17)))
+        g = gen.standard_normal((n, d))
+        norms = np.linalg.norm(g, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        s = g / norms
+        r = e.radius * gen.random(n) ** (1.0 / d)
+        expected = e.center + (s * r[:, None]) @ e.scale.T
+        assert np.array_equal(sample_uniform_ellipsoid(e, n, seed=17), expected)
 
     def test_rejects_bad_count(self):
         e = Ellipsoid(np.zeros(1), np.eye(1), 1.0)
