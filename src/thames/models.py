@@ -16,12 +16,9 @@ from scipy.special import gammaln
 from .correction import SupportPredicate
 from .errors import InvalidInput
 from .geometry import cholesky_factor
+from .seeds import _rng
 
 LOG_2PI = np.log(2.0 * np.pi)
-
-
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 spawn_seed(master, index) is a splitmix64 step of master + index, so
 replication streams never collide and results are reproducible whatever
-the worker count.
+the worker count. _rng(seed) is the generator every seeded sampler in the
+package draws from.
 """
+
+import numpy as np
 
 MASK = (1 << 64) - 1
 
@@ -20,3 +23,8 @@ def splitmix64(x):
 def spawn_seed(master_seed, index):
     """Seed for replication `index` of a run keyed by `master_seed`."""
     return splitmix64(((master_seed & MASK) + 0x9E3779B97F4A7C15 * index) & MASK)
+
+
+def _rng(seed):
+    """Philox generator keyed by a 64-bit seed."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))

@@ -153,6 +153,12 @@ INGEST_CASES = [
     ("no density columns", "theta_1,other\n1.0,2.0\n", False),
     ("header only", H2, False),
     ("empty file", "", False),
+    # csv.reader stops at fields over 131 072 characters; loadtxt does not
+    ("200 000-character field in an unused column, then a bad value",
+     "theta_1,note,log_unnorm_posterior\n1," + "x" * 200_000 + ",2\nzzz,c,4\n",
+     False),
+    ("200 000-character header name",
+     "theta_1," + "n" * 200_000 + ",log_unnorm_posterior\n1,a,2\n", False),
 ]
 
 
@@ -281,12 +287,34 @@ class TestEstimateCommand:
         code, out = run_cli(capsys, "correct", path, "--support", "unbounded",
                             flag, value)
         assert code == 2
-        assert out == ""  # rejected while parsing flags, before the table is read
+        # rejected while parsing flags, before the table is read
+        lines = out.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "usage" and flag in report["message"]
 
     def test_usage_error_exit_code(self, capsys):
         code = main(["estimate"])  # missing input path
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate"],
+        ["estimate", "draws.csv", "--ci", "2x"],
+        ["estimate", "draws.csv", "--bogus"],
+        ["replicate", "bogus", "--out", "unused"],
+        [],
+    ])
+    def test_usage_error_is_one_json_line(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+
+    def test_help_exit_code(self, capsys):
+        code, out = run_cli(capsys, "estimate", "--help")
+        assert code == 0
+        assert out.startswith("usage: thames estimate")
 
     def test_missing_file_exit_code(self, capsys):
         code, out = run_cli(capsys, "estimate", "/nonexistent/file.csv")

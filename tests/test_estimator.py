@@ -1,6 +1,7 @@
 """Estimator core: point estimate, variance, intervals, splitting, tuning."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from thames.errors import (
 )
 from thames.estimator import (
     ThamesOptions,
+    ThamesResult,
     ar1_inflation,
     confidence_interval,
     empirical_scv,
@@ -29,6 +31,18 @@ from thames.models import GaussianMeanModel, gaussian_dataset
 from thames.radius import RadiusPolicy
 
 RNG = np.random.default_rng(777)
+
+
+def assert_same_result(a, b):
+    """Field-by-field equality of two ThamesResults."""
+    for f in fields(ThamesResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "ellipsoid":
+            assert np.array_equal(x.center, y.center)
+            assert np.array_equal(x.scale, y.scale)
+            assert (x.radius, x.log_det_sigma) == (y.radius, y.log_det_sigma)
+        else:
+            assert x == y, f.name
 
 
 def toy_problem(d=2, t=4000, seed=11):
@@ -227,7 +241,59 @@ class TestRadiusTuning:
         direct = thames(
             draws, log_post,
             ThamesOptions(radius_policy=RadiusPolicy.fixed(c_best)))
-        assert via_policy.log_z == pytest.approx(direct.log_z, rel=1e-12)
+        assert via_policy.log_z == direct.log_z
+
+    @pytest.mark.parametrize("split", [True, False])
+    @pytest.mark.parametrize("serial", ["none", "ar1"])
+    def test_rows_equal_fixed_radius_estimates(self, split, serial):
+        _, draws, log_post = toy_problem(t=1000)
+        # 1e-6 leaves the set empty (NaN row); 0.05 and 0.08 keep at most
+        # one draw (NaN row or infinite SE)
+        grid = (1e-6, 0.05, 0.08, 0.8, 1.5, math.sqrt(3.0), 2.5, 4.0)
+        opts = ThamesOptions(split=split, serial_correction=serial)
+        c_best, table = tune_radius_grid(draws, log_post, grid, opts)
+        assert [row[0] for row in table] == list(grid)
+        for row in table:
+            fixed = replace(opts, radius_policy=RadiusPolicy.fixed(row[0]))
+            try:
+                res = thames(draws, log_post, fixed)
+            except EmptyTruncationSet:
+                assert math.isnan(row[1]) and math.isnan(row[2])
+                continue
+            assert row == (res.radius_used, res.log_z, res.se_recip_rel)
+        assert math.isnan(table[0][1])
+        assert any(se == np.inf for _, _, se in table)
+        assert c_best == min((se, c) for c, _, se in table if np.isfinite(se))[1]
+
+        via_policy = thames(draws, log_post, replace(
+            opts, radius_policy=RadiusPolicy.empirical_grid(grid)))
+        direct = thames(draws, log_post, replace(
+            opts, radius_policy=RadiusPolicy.fixed(c_best)))
+        assert_same_result(via_policy, direct)
+        assert via_policy.radius_used == c_best
+
+    def test_one_distance_pass_per_call(self, monkeypatch):
+        import thames.estimator as est
+
+        calls = []
+
+        def counting(theta, e):
+            calls.append(np.shape(theta))
+            return mahalanobis_sq(theta, e)
+
+        monkeypatch.setattr(est, "mahalanobis_sq", counting)
+        _, draws, log_post = toy_problem(t=1000)
+        grid = RadiusPolicy.empirical_grid(tuple(np.linspace(0.5, 3.0, 20)))
+        for opts in (ThamesOptions(radius_policy=grid),
+                     ThamesOptions(radius_policy=grid, split=False,
+                                   serial_correction="ar1"),
+                     ThamesOptions()):
+            calls.clear()
+            thames(draws, log_post, opts)
+            assert len(calls) == 1
+        calls.clear()
+        tune_radius_grid(draws, log_post, grid.grid)
+        assert calls == [(500, 2)]
 
     def test_unusable_radii_marked_nan(self):
         _, draws, log_post = toy_problem(t=500)

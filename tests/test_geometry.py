@@ -106,6 +106,37 @@ class TestEllipsoid:
         with pytest.raises(InvalidInput):
             Ellipsoid(np.zeros(2), np.eye(2), np.inf)
 
+    @pytest.mark.parametrize("center, scale", [
+        ([np.nan, 0.0], np.eye(2)),
+        ([0.0, np.inf], np.eye(2)),
+        ([0.0, 0.0], [[1.0, 0.0], [np.nan, 1.0]]),
+        ([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]]),
+    ])
+    def test_rejects_nonfinite_center_and_scale(self, center, scale):
+        with pytest.raises(InvalidInput):
+            Ellipsoid(np.array(center), np.array(scale), 1.0)
+
+    @pytest.mark.parametrize("fn", [
+        sample_mean,
+        sample_covariance,
+        lambda a: Ellipsoid.fit(a, 1.0),
+        lambda a: standardize(a, Ellipsoid(np.zeros(2), np.eye(2), 1.0)),
+        lambda a: mahalanobis_sq(a, Ellipsoid(np.zeros(2), np.eye(2), 1.0)),
+    ])
+    def test_public_functions_validate_draws(self, fn):
+        with pytest.raises(InvalidInput):
+            fn(np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, 1.0]]))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_standardize_leaves_input_unchanged(self, order):
+        a = np.asarray(RNG.standard_normal((50, 3)), order=order)
+        before = a.copy()
+        e = Ellipsoid.fit(a, 1.0)
+        z = standardize(a, e)
+        assert np.array_equal(a, before)
+        expected = np.linalg.solve(e.scale, (a - e.center).T).T
+        assert np.allclose(z, expected, rtol=1e-12, atol=1e-12)
+
     def test_mahalanobis_against_explicit_inverse(self):
         a = RNG.standard_normal((8, 3))
         sigma = a.T @ a + np.eye(3)
