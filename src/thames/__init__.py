@@ -55,7 +55,6 @@ from .radius import (
     chi_square_median_radius,
     log_f,
     optimal_radius,
-    regularized_gamma_p,
     resolve_radius,
     scv_bounds,
     scv_normal,

@@ -36,8 +36,9 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from scipy.special import gammainc
 
-from .correction import SupportPredicate, apply_correction, estimate_volume_ratio
+from .correction import ConstrainedCorrectionConfig, SupportPredicate
 from .errors import InvalidInput, NumericalError, ParseError, ZeroSupportOverlap
 from .estimator import ThamesOptions, harmonic_mean_log_z, thames
 from .geometry import Ellipsoid
@@ -49,7 +50,7 @@ from .models import (
     gaussian_dataset,
     prostate_models,
 )
-from .radius import RadiusPolicy, optimal_radius, regularized_gamma_p, scv_bounds, scv_normal
+from .radius import RadiusPolicy, optimal_radius, resolve_radius, scv_bounds, scv_normal
 from .seeds import spawn_seed
 
 # ---------------------------------------------------------------------------
@@ -336,6 +337,8 @@ def _options_from_args(args):
         split=not args.no_split,
         ci_level=args.ci,
         serial_correction="ar1" if getattr(args, "ar1", False) else "none",
+        correction=ConstrainedCorrectionConfig(args.support, args.n, args.seed)
+        if "support" in args else None,
     )
 
 
@@ -358,21 +361,13 @@ def _base_report(result, args, checksum):
 
 
 def cmd_estimate(args, stdout):
+    opts = _options_from_args(args)  # bad flag values fail before any input is read
     draws, log_post = load_table(args.input)
-    result = thames(draws, log_post, _options_from_args(args))
-    dump_report(_base_report(result, args, file_checksum(args.input)), stdout)
-    return 0
-
-
-def cmd_correct(args, stdout):
-    draws, log_post = load_table(args.input)
-    result = thames(draws, log_post, _options_from_args(args))
-    r_hat, r_ci = estimate_volume_ratio(
-        result.ellipsoid, args.support, args.n, args.seed)
-    result = apply_correction(result, r_hat)
+    result = thames(draws, log_post, opts)
     report = _base_report(result, args, file_checksum(args.input))
-    report["correction_ci_lower"] = r_ci[0]
-    report["correction_ci_upper"] = r_ci[1]
+    if result.correction_ci is not None:
+        report["correction_ci_lower"], report["correction_ci_upper"] = \
+            result.correction_ci
     dump_report(report, stdout)
     return 0
 
@@ -384,36 +379,35 @@ def cmd_correct(args, stdout):
 SCV_POLICIES = ("sqrt_d_plus_1", "optimal", "chisq_median")
 
 
-def _scv_radius(policy, d, opt):
-    if policy == "sqrt_d_plus_1":
-        return math.sqrt(d + 1.0)
-    if policy == "optimal":
-        return opt.c_d
-    if policy == "chisq_median":
-        from .radius import chi_square_median_radius
-
-        return chi_square_median_radius(d)
-    if policy.startswith("fixed:"):
-        return float(policy[len("fixed:"):])
-    raise argparse.ArgumentTypeError(f"unknown scv policy {policy!r}")
+def parse_scv_policy(spec):
+    """(spec, policy) for an scv --policies entry; the spec is printed as typed."""
+    policy = parse_radius_policy(spec)
+    if policy.kind == "grid":
+        raise argparse.ArgumentTypeError(
+            f"radius policy {spec!r}: a grid is tuned on draws, and scv has none")
+    return spec, policy
 
 
 def cmd_scv(args, stdout):
-    writer = csv.writer(stdout, lineterminator="\n")
-    writer.writerow(["d", "policy", "c", "scv", "c_d", "L_d", "scv_opt",
-                     "lower_bound", "upper_bound", "hpd_mass"])
+    if args.dmax < 1:
+        raise InvalidInput(f"--dmax must be >= 1, got {args.dmax}")
+    # the whole table is built first, so an error prints only its JSON line
+    rows = []
     for d in range(1, args.dmax + 1):
         opt = optimal_radius(d)
         lower, upper = scv_bounds(d)
-        hpd = regularized_gamma_p(0.5 * d, 0.5 * opt.c_d ** 2)
-        for policy in args.policies:
-            c = _scv_radius(policy, d, opt)
-            row = [str(d), policy] + [
+        hpd = gammainc(0.5 * d, 0.5 * opt.c_d ** 2)
+        for spec, policy in args.policies:
+            c = resolve_radius(policy, d)
+            rows.append([str(d), spec] + [
                 format_float(v)
                 for v in (c, scv_normal(d, c), opt.c_d, opt.l_d,
                           opt.scv_at_opt, lower, upper, hpd)
-            ]
-            writer.writerow(row)
+            ])
+    writer = csv.writer(stdout, lineterminator="\n")
+    writer.writerow(["d", "policy", "c", "scv", "c_d", "L_d", "scv_opt",
+                     "lower_bound", "upper_bound", "hpd_mass"])
+    writer.writerows(rows)
     return 0
 
 
@@ -636,46 +630,48 @@ def build_parser():
                     "NATURAL log; convert before ingesting.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_est = sub.add_parser("estimate", help="estimate log Z from a draw table")
-    p_est.add_argument("input")
-    p_est.add_argument("--radius", type=parse_radius_policy,
+    # the flags that estimate and correct share
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("input")
+    table.add_argument("--radius", type=parse_radius_policy,
                        default=RadiusPolicy.sqrt_d_plus_1(),
                        help="sqrt_d_plus_1 | fixed:<c> | chisq_median | "
                             "optimal | grid:<c1,c2,...>")
-    p_est.add_argument("--no-split", action="store_true")
-    p_est.add_argument("--ci", type=float, default=0.95)
+    table.add_argument("--no-split", action="store_true")
+    table.add_argument("--ci", type=float, default=0.95)
+    table.add_argument("--seed", type=int, default=0,
+                       help="volume-ratio sample seed (correct), in [0, 2**64)")
+
+    p_est = sub.add_parser("estimate", parents=[table],
+                           help="estimate log Z from a draw table")
     p_est.add_argument("--ar1", action="store_true",
                        help="inflate the variance by an AR(1) factor")
-    p_est.add_argument("--seed", type=int, default=0)
     p_est.set_defaults(func=cmd_estimate)
 
-    p_cor = sub.add_parser("correct",
+    p_cor = sub.add_parser("correct", parents=[table],
                            help="estimate, then adjust for constrained support")
-    p_cor.add_argument("input")
     p_cor.add_argument("--support", type=parse_support, required=True,
                        help="unbounded | positive:i,j,... | "
                             "box:lo:hi,lo:hi,... | simplex; indices count "
                             "from 0, so theta_1..theta_10 are "
                             "positive:0,...,9")
     p_cor.add_argument("--n", type=int, default=100)
-    p_cor.add_argument("--radius", type=parse_radius_policy,
-                       default=RadiusPolicy.sqrt_d_plus_1())
-    p_cor.add_argument("--no-split", action="store_true")
-    p_cor.add_argument("--ci", type=float, default=0.95)
-    p_cor.add_argument("--seed", type=int, default=0)
-    p_cor.set_defaults(func=cmd_correct)
+    p_cor.set_defaults(func=cmd_estimate)
 
     p_scv = sub.add_parser("scv",
                            help="tabulate normal-posterior SCV and optimal radii")
     p_scv.add_argument("--dmax", type=int, default=200)
-    p_scv.add_argument("--policies", nargs="+", default=list(SCV_POLICIES))
+    p_scv.add_argument("--policies", nargs="+", type=parse_scv_policy,
+                       default=[parse_scv_policy(p) for p in SCV_POLICIES],
+                       help="sqrt_d_plus_1 | fixed:<c> | chisq_median | optimal")
     p_scv.set_defaults(func=cmd_scv)
 
     p_rep = sub.add_parser("replicate", help="run a built-in experiment")
     p_rep.add_argument("experiment", choices=sorted(REPLICATE_EXPERIMENTS))
     p_rep.add_argument("--out", required=True)
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--reps", type=int, default=50)
+    p_rep.add_argument("--reps", type=int, default=50,
+                       help="replications per setting; gaussian-d and dirmult only")
     p_rep.set_defaults(func=cmd_replicate)
     return parser
 

@@ -17,7 +17,7 @@ from scipy.special import ndtri
 
 from .errors import InvalidInput, ZeroSupportOverlap
 from .geometry import Ellipsoid
-from .seeds import _rng
+from .seeds import _check_seed, _rng
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,7 @@ class ConstrainedCorrectionConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise InvalidInput("n_samples must be >= 1")
+        _check_seed(self.seed)
 
 
 _BLOCK_ROWS = 1 << 14

@@ -72,6 +72,7 @@ class ThamesResult:
     radius_used: float
     ellipsoid: Ellipsoid
     correction_ratio: float = None
+    correction_ci: tuple = None  # (lower, upper) CI of the volume ratio
 
 
 def _split_index(t, opts: ThamesOptions):
@@ -263,11 +264,11 @@ def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = N
     if opts.correction is not None:
         from . import correction as corr
 
-        r_hat, _ = corr.estimate_volume_ratio(
+        r_hat, r_ci = corr.estimate_volume_ratio(
             result.ellipsoid, opts.correction.support,
             opts.correction.n_samples, opts.correction.seed,
         )
-        result = corr.apply_correction(result, r_hat)
+        result = replace(corr.apply_correction(result, r_hat), correction_ci=r_ci)
     return result
 
 

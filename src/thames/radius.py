@@ -14,10 +14,11 @@ panel quadrature carried entirely in log space; the recursion
 and the d=1,2 closed forms are kept as test oracles only.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaincinv, gammaln, logsumexp
 
 from .errors import InvalidInput, NumericalFailure, Overflow
 
@@ -136,8 +137,9 @@ def _foc(d, c):
     return np.log(2.0 * d) + log_f(d, c) - 2.0 * np.log(c) - 0.5 * c * c
 
 
+@functools.cache
 def optimal_radius(d):
-    """Unique SCV-minimizing radius, solved by bracketing on [sqrt(d), sqrt(d+4)]."""
+    """Unique SCV-minimizing radius, by bracketing on [sqrt(d), sqrt(d+4)]; cached."""
     from scipy.optimize import brentq
 
     d = _check_dim(d)
@@ -151,65 +153,10 @@ def optimal_radius(d):
     return OptimalRadius(c_d=c_d, l_d=c_d * c_d - d, scv_at_opt=scv_normal(d, c_d))
 
 
-def regularized_gamma_p(a, x, tol=1e-14, max_iter=2000):
-    """Regularized lower incomplete gamma P(a, x).
-
-    Series expansion for x < a + 1, Lentz continued fraction otherwise.
-    """
-    if a <= 0:
-        raise InvalidInput(f"shape must be positive, got {a}")
-    if x < 0:
-        raise InvalidInput(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    log_prefix = a * np.log(x) - x - gammaln(a)
-    if x < a + 1.0:
-        # P(a,x) = x^a e^-x / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n))
-        term = 1.0 / a
-        total = term
-        ap = a
-        for _ in range(max_iter):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * tol:
-                return min(1.0, float(np.exp(log_prefix) * total))
-        raise NumericalFailure("incomplete gamma series did not converge")
-    # Q(a,x) via modified Lentz continued fraction
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    dd = 1.0 / b
-    h = dd
-    for i in range(1, max_iter + 1):
-        an = -i * (i - a)
-        b += 2.0
-        dd = an * dd + b
-        if abs(dd) < tiny:
-            dd = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        dd = 1.0 / dd
-        delta = dd * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
-            return max(0.0, float(1.0 - np.exp(log_prefix) * h))
-    raise NumericalFailure("incomplete gamma continued fraction did not converge")
-
-
 def chi_square_median_radius(d):
-    """sqrt of the chi-squared(d) median, by root-finding P(d/2, x/2) = 1/2."""
-    from scipy.optimize import brentq
-
+    """sqrt of the chi-squared(d) median, the x with P(d/2, x/2) = 1/2."""
     d = _check_dim(d)
-    g = lambda x: regularized_gamma_p(0.5 * d, 0.5 * x) - 0.5
-    # the median lies in (d - 1, d) for every d >= 1
-    lo, hi = max(1e-12, d - 2.0), float(d + 1.0)
-    while g(lo) > 0:
-        lo *= 0.5
-    median = brentq(g, lo, hi, rtol=1e-12, xtol=1e-12)
-    return float(np.sqrt(median))
+    return float(np.sqrt(2.0 * gammaincinv(0.5 * d, 0.5)))
 
 
 def scv_bounds(d):

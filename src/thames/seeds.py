@@ -8,6 +8,8 @@ package draws from.
 
 import numpy as np
 
+from .errors import InvalidInput
+
 MASK = (1 << 64) - 1
 
 
@@ -25,6 +27,13 @@ def spawn_seed(master_seed, index):
     return splitmix64(((master_seed & MASK) + 0x9E3779B97F4A7C15 * index) & MASK)
 
 
+def _check_seed(seed):
+    """Raise InvalidInput unless seed is a 64-bit key, in [0, 2**64)."""
+    if not 0 <= seed <= MASK:
+        raise InvalidInput(f"seed must be in [0, 2**64), got {seed}")
+
+
 def _rng(seed):
     """Philox generator keyed by a 64-bit seed."""
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))

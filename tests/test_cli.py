@@ -8,7 +8,10 @@ import os
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy import special
 
+from thames import radius
 from thames.cli import (
     _load_csv_columns,
     _load_table_rows,
@@ -18,7 +21,9 @@ from thames.cli import (
     parse_radius_policy,
     parse_support,
 )
+from thames.correction import ConstrainedCorrectionConfig, SupportPredicate
 from thames.errors import ParseError
+from thames.estimator import ThamesOptions, thames
 from thames.models import GaussianMeanModel, gaussian_dataset
 from thames.seeds import spawn_seed, splitmix64
 
@@ -304,6 +309,12 @@ class TestEstimateCommand:
         ["estimate", "draws.csv", "--bogus"],
         ["replicate", "bogus", "--out", "unused"],
         [],
+        ["scv", "--policies", "bogus"],
+        ["scv", "--policies", "fixed:abc"],
+        ["scv", "--policies", "fixed:-1"],
+        ["scv", "--policies", "optimal", "grid:1,2"],
+        ["scv", "--dmax", "-3"],
+        ["scv", "--dmax", "0"],
     ])
     def test_usage_error_is_one_json_line(self, capsys, argv):
         code, out = run_cli(capsys, *argv)
@@ -322,6 +333,51 @@ class TestEstimateCommand:
 
 
 class TestCorrectCommand:
+    def test_report_matches_library(self, tmp_path, capsys):
+        path = str(tmp_path / "draws.csv")
+        write_draw_csv(path, t=1000)
+        draws, log_post = load_table(path)
+        # a box that cuts the posterior through its mean in theta_1
+        m = format_float(draws[:, 0].mean())
+        spec = f"box:{m}:1000,-1000:1000"
+        cfg = ConstrainedCorrectionConfig(parse_support(spec), 5000, 11)
+        code, out = run_cli(capsys, "correct", path, "--support", spec,
+                            "--n", "5000", "--seed", "11", "--radius", "optimal")
+        assert code == 0
+        res = thames(draws, log_post, ThamesOptions(
+            radius_policy=parse_radius_policy("optimal"), correction=cfg))
+        assert 0.0 < res.correction_ratio < 1.0
+        expected = {
+            "log_z": res.log_z, "log_recip_z": res.log_recip_z,
+            "ci_lower": res.ci_log_z[0], "ci_upper": res.ci_log_z[1],
+            "se_recip_rel": res.se_recip_rel, "radius": res.radius_used,
+            "n_inside": res.n_inside, "t_estimation": res.t_estimation,
+            "correction_ratio": res.correction_ratio,
+            "radius_policy": "optimal", "split": True, "seed": 11,
+            "input_checksum": json.loads(out)["input_checksum"],
+            "correction_ci_lower": res.correction_ci[0],
+            "correction_ci_upper": res.correction_ci[1],
+        }
+        report = json.loads(out)
+        assert list(report) == list(expected)
+        assert report == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["correct", "--support", "unbounded", "--seed", "-1"],
+        ["correct", "--support", "unbounded", "--seed", str(2 ** 64)],
+        ["correct", "--support", "unbounded", "--n", "0"],
+        ["correct", "--support", "unbounded", "--ci", "1.5"],
+        ["estimate", "--ci", "1.5"],
+    ])
+    def test_bad_option_fails_before_input_is_read(self, tmp_path, capsys, argv):
+        path = str(tmp_path / "bad.csv")
+        with open(path, "w") as fh:
+            fh.write("theta_1,log_unnorm_posterior\n1.0,oops\n")
+        code, out = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code == 2  # not the parse error, exit 3, of the file
+        lines = out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+
     def test_unbounded_is_identity(self, tmp_path, capsys):
         path = str(tmp_path / "draws.csv")
         write_draw_csv(path, t=1000)
@@ -363,6 +419,42 @@ class TestScvCommand:
         _, out1 = run_cli(capsys, "scv", "--dmax", "5")
         _, out2 = run_cli(capsys, "scv", "--dmax", "5")
         assert out1 == out2
+
+    def test_rows_match_library(self, capsys):
+        specs = ["sqrt_d_plus_1", "optimal", "chisq_median", "fixed:2.5"]
+        code, out = run_cli(capsys, "scv", "--dmax", "8", "--policies", *specs)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["d"], r["policy"]) for r in rows] == \
+            [(str(d), spec) for d in range(1, 9) for spec in specs]
+        for row in rows:
+            d = int(row["d"])
+            c = radius.resolve_radius(parse_radius_policy(row["policy"]), d)
+            assert float(row["c"]) == c
+            assert float(row["scv"]) == radius.scv_normal(d, c)
+            c_d = radius.optimal_radius(d).c_d
+            assert float(row["hpd_mass"]) == special.gammainc(0.5 * d, 0.5 * c_d ** 2)
+
+    def test_optimal_root_find_runs_once_per_dimension(self, capsys, monkeypatch):
+        calls = []
+        brentq = scipy.optimize.brentq
+
+        def counting_brentq(*args, **kwargs):
+            calls.append(args)
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "brentq", counting_brentq)
+        radius.optimal_radius.cache_clear()
+        code, _ = run_cli(capsys, "scv", "--dmax", "5")
+        assert code == 0
+        assert len(calls) == 5
+
+    def test_error_mid_table_is_one_json_line(self, capsys):
+        # the SCV at c = 40 overflows for every d; no partial table is printed
+        code, out = run_cli(capsys, "scv", "--dmax", "3", "--policies", "fixed:40")
+        assert code == 4
+        lines = out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "numerical"
 
 
 class TestReplicateCommand:

@@ -117,6 +117,16 @@ class TestUniformSampling:
         with pytest.raises(InvalidInput):
             sample_uniform_ellipsoid(e, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        e = Ellipsoid(np.zeros(1), np.eye(1), 1.0)
+        with pytest.raises(InvalidInput):
+            sample_uniform_ellipsoid(e, 10, seed=seed)
+
+    def test_accepts_largest_64_bit_seed(self):
+        e = Ellipsoid(np.zeros(1), np.eye(1), 1.0)
+        assert sample_uniform_ellipsoid(e, 10, seed=2 ** 64 - 1).shape == (10, 1)
+
 
 class TestVolumeRatio:
     def test_halfspace_through_center(self):
@@ -192,13 +202,21 @@ class TestEstimatorIntegration:
             n_samples=5000, seed=13)
         auto = thames(draws, log_post, ThamesOptions(correction=cfg))
         plain = thames(draws, log_post, ThamesOptions())
-        r_hat, _ = estimate_volume_ratio(plain.ellipsoid, cfg.support,
-                                         cfg.n_samples, cfg.seed)
+        r_hat, r_ci = estimate_volume_ratio(plain.ellipsoid, cfg.support,
+                                            cfg.n_samples, cfg.seed)
         manual = apply_correction(plain, r_hat)
         assert auto.log_z == pytest.approx(manual.log_z, rel=1e-12)
         assert auto.correction_ratio == manual.correction_ratio
+        assert auto.correction_ci == r_ci
+        assert plain.correction_ci is None
 
     def test_config_validates_sample_count(self):
         with pytest.raises(InvalidInput):
             ConstrainedCorrectionConfig(support=SupportPredicate.unbounded(),
                                         n_samples=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_config_validates_seed(self, seed):
+        with pytest.raises(InvalidInput):
+            ConstrainedCorrectionConfig(support=SupportPredicate.unbounded(),
+                                        seed=seed)
