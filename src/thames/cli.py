@@ -22,6 +22,12 @@ byte-identical output. Replication experiments fan out across at most
 THAMES_THREADS worker threads (default 1); per-replication seeds come
 from seeds.spawn_seed, and output order is by replication index
 regardless of completion order.
+
+Start-up cost: no module of the package imports scipy when it is
+imported. The few code paths that need it (``scv``, the ``optimal`` and
+``chisq_median`` radii, the Dirichlet-multinomial model) import it when
+they run, so ``estimate`` and ``correct`` load only numpy and the
+standard library.
 """
 
 import argparse
@@ -33,14 +39,16 @@ import os
 import re
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import gammainc
 
-from .correction import ConstrainedCorrectionConfig, SupportPredicate
+from .correction import (
+    ConstrainedCorrectionConfig,
+    SupportPredicate,
+    _check_sample_count,
+)
 from .errors import InvalidInput, NumericalError, ParseError, ZeroSupportOverlap
-from .estimator import ThamesOptions, harmonic_mean_log_z, thames
+from .estimator import ThamesOptions, _check_level, harmonic_mean_log_z, thames
 from .geometry import Ellipsoid
 from .models import (
     DirMultModel,
@@ -51,7 +59,7 @@ from .models import (
     prostate_models,
 )
 from .radius import RadiusPolicy, optimal_radius, resolve_radius, scv_bounds, scv_normal
-from .seeds import spawn_seed
+from .seeds import _check_seed, spawn_seed
 
 # ---------------------------------------------------------------------------
 # Serialization helpers
@@ -318,6 +326,20 @@ def parse_support(spec):
         "box:lo:hi,lo:hi,..., or simplex")
 
 
+def _checked(convert, check):
+    """An argparse type that converts a flag value, then runs the library's
+    check on it, so a rejected value is reported under the flag's name."""
+    def parse(text):
+        value = convert(text)
+        try:
+            check(value)
+        except InvalidInput as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return value
+    parse.__name__ = convert.__name__  # as in "invalid float value: 'x'"
+    return parse
+
+
 def worker_count():
     raw = os.environ.get("THAMES_THREADS", "1")
     try:
@@ -389,6 +411,8 @@ def parse_scv_policy(spec):
 
 
 def cmd_scv(args, stdout):
+    from scipy.special import gammainc
+
     if args.dmax < 1:
         raise InvalidInput(f"--dmax must be >= 1, got {args.dmax}")
     # the whole table is built first, so an error prints only its JSON line
@@ -420,6 +444,8 @@ def _run_indexed(tasks, threads):
     """Evaluate index-keyed closures, preserving index order in the output."""
     if threads <= 1:
         return [task() for task in tasks]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda task: task(), tasks))
 
@@ -638,8 +664,8 @@ def build_parser():
                        help="sqrt_d_plus_1 | fixed:<c> | chisq_median | "
                             "optimal | grid:<c1,c2,...>")
     table.add_argument("--no-split", action="store_true")
-    table.add_argument("--ci", type=float, default=0.95)
-    table.add_argument("--seed", type=int, default=0,
+    table.add_argument("--ci", type=_checked(float, _check_level), default=0.95)
+    table.add_argument("--seed", type=_checked(int, _check_seed), default=0,
                        help="volume-ratio sample seed (correct), in [0, 2**64)")
 
     p_est = sub.add_parser("estimate", parents=[table],
@@ -655,7 +681,7 @@ def build_parser():
                             "box:lo:hi,lo:hi,... | simplex; indices count "
                             "from 0, so theta_1..theta_10 are "
                             "positive:0,...,9")
-    p_cor.add_argument("--n", type=int, default=100)
+    p_cor.add_argument("--n", type=_checked(int, _check_sample_count), default=100)
     p_cor.set_defaults(func=cmd_estimate)
 
     p_scv = sub.add_parser("scv",

@@ -13,9 +13,9 @@ seeds with seeds.spawn_seed.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidInput, ZeroSupportOverlap
+from .estimator import _check_level, _two_sided_z
 from .geometry import Ellipsoid
 from .seeds import _check_seed, _rng
 
@@ -95,6 +95,12 @@ class SupportPredicate:
             raise InvalidInput("support indices out of range")
 
 
+def _check_sample_count(n):
+    """Raise InvalidInput unless n is a usable sample count, >= 1."""
+    if n < 1:
+        raise InvalidInput(f"sample count must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class ConstrainedCorrectionConfig:
     support: SupportPredicate
@@ -102,8 +108,7 @@ class ConstrainedCorrectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise InvalidInput("n_samples must be >= 1")
+        _check_sample_count(self.n_samples)
         _check_seed(self.seed)
 
 
@@ -115,8 +120,7 @@ def sample_uniform_ellipsoid(e: Ellipsoid, n, seed):
 
     Direction from a normalized Gaussian vector, radius from c * u^(1/d).
     """
-    if n < 1:
-        raise InvalidInput("sample count must be >= 1")
+    _check_sample_count(n)
     rng = _rng(seed)
     d = e.dim
     g = rng.standard_normal((n, d))
@@ -141,11 +145,11 @@ def estimate_volume_ratio(e: Ellipsoid, support: SupportPredicate, n, seed,
     Raises ZeroSupportOverlap (carrying the CI) when no sample lands in
     the support, since dividing by R_hat = 0 is undefined.
     """
+    _check_level(ci_level)
     pts = sample_uniform_ellipsoid(e, n, seed)
     hits = support.contains(pts)
     r_hat = float(np.mean(hits))
-    z = ndtri(0.5 * (1.0 + ci_level))
-    half = z * np.sqrt(r_hat * (1.0 - r_hat) / n)
+    half = _two_sided_z(ci_level) * np.sqrt(r_hat * (1.0 - r_hat) / n)
     ci = (max(0.0, r_hat - half), min(1.0, r_hat + half))
     if r_hat == 0.0:
         raise ZeroSupportOverlap(

@@ -10,9 +10,9 @@ realistic |log Lpi| of order 10^3.
 """
 
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
 
 from .errors import (
     DegenerateTerm,
@@ -26,9 +26,21 @@ from .geometry import (
     as_draw_matrix,
     as_log_density_vector,
     log_volume,
+    logsumexp,
     mahalanobis_sq,
 )
 from .radius import RadiusPolicy, resolve_radius
+
+
+def _check_level(level):
+    """Raise InvalidInput unless level is a confidence level, in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise InvalidInput(f"confidence level must be in (0, 1), got {level}")
+
+
+def _two_sided_z(level):
+    """The standard normal z with P(|Z| <= z) = level."""
+    return NormalDist().inv_cdf(0.5 * (1.0 + level))
 
 
 @dataclass(frozen=True)
@@ -51,8 +63,7 @@ class ThamesOptions:
     def __post_init__(self):
         if not 0.0 < self.split_fraction < 1.0:
             raise InvalidInput("split_fraction must be in (0, 1)")
-        if not 0.0 < self.ci_level < 1.0:
-            raise InvalidInput("ci_level must be in (0, 1)")
+        _check_level(self.ci_level)
         sc = self.serial_correction
         if isinstance(sc, str):
             if sc not in ("none", "ar1"):
@@ -113,10 +124,8 @@ def confidence_interval(log_recip_z, se_recip_rel, level):
     """
     if se_recip_rel < 0:
         raise InvalidInput("standard error must be nonnegative")
-    if not 0.0 < level < 1.0:
-        raise InvalidInput("confidence level must be in (0, 1)")
-    z = ndtri(0.5 * (1.0 + level))
-    delta = z * se_recip_rel
+    _check_level(level)
+    delta = _two_sided_z(level) * se_recip_rel
     lower_log_z = -(log_recip_z + np.log1p(delta))
     if delta >= 1.0:
         upper_log_z = np.inf
@@ -266,7 +275,7 @@ def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = N
 
         r_hat, r_ci = corr.estimate_volume_ratio(
             result.ellipsoid, opts.correction.support,
-            opts.correction.n_samples, opts.correction.seed,
+            opts.correction.n_samples, opts.correction.seed, opts.ci_level,
         )
         result = replace(corr.apply_correction(result, r_hat), correction_ci=r_ci)
     return result

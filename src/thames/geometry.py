@@ -3,19 +3,22 @@
 All density arithmetic elsewhere in the package is done in natural-log
 space; this module provides the geometric primitives (moment estimates,
 Cholesky factors, Mahalanobis distances, ellipsoid volumes) they rest on.
-Everything here is a pure function over immutable inputs.
+Everything here is a pure function over immutable inputs. The module
+needs only numpy and the standard library.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln
 
 from .errors import InvalidInput, NotPositiveDefinite
 
 SYMMETRY_RTOL = 1e-10
 RIDGE_EPS = 1e-8
+# rows per block of the standardizing product, so its temporaries stay a
+# few MB whatever T is
+_BLOCK_ROWS = 2048
 
 
 def as_draw_matrix(draws, min_rows=1):
@@ -148,23 +151,38 @@ def _fit(a, radius, ridge=False):
                                   ridge=ridge)
 
 
-def standardize(draws, e: Ellipsoid):
-    """Map each row theta to Lo^-1 (theta - center)."""
+def _standardized_blocks(a, e: Ellipsoid):
+    """(rows, z) per block of rows of a validated matrix, where row i of z
+    is Lo^-1 (a[i] - center), computed as (a[rows] - center) @ Lo^-T."""
+    inv_t = np.linalg.inv(e.scale).T
+    for start in range(0, a.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        yield rows, (a[rows] - e.center) @ inv_t
+
+
+def _checked_draws(draws, e: Ellipsoid):
     a = as_draw_matrix(draws)
     if a.shape[1] != e.dim:
         raise InvalidInput("draw dimension does not match ellipsoid")
-    # a and the ellipsoid are finite, and the centered copy is a temporary
-    # the solve may overwrite
-    z = solve_triangular(e.scale, (a - e.center).T, lower=True,
-                         overwrite_b=True, check_finite=False)
-    return z.T
+    return a
+
+
+def standardize(draws, e: Ellipsoid):
+    """Map each row theta to Lo^-1 (theta - center)."""
+    a = _checked_draws(draws, e)
+    z = np.empty_like(a)
+    for rows, zb in _standardized_blocks(a, e):
+        z[rows] = zb
+    return z
 
 
 def mahalanobis_sq(theta, e: Ellipsoid):
-    """(theta - center)^T Sigma^-1 (theta - center) via one triangular solve.
+    """(theta - center)^T Sigma^-1 (theta - center), the squared norm of
+    the standardized point.
 
     Accepts a single d-vector or a T x d matrix; returns a scalar or a
-    length-T vector accordingly.
+    length-T vector accordingly. Rows are standardized a block at a
+    time, so no T x d temporary is made.
     """
     t = np.asarray(theta, dtype=float)
     single = t.ndim == 1
@@ -172,9 +190,35 @@ def mahalanobis_sq(theta, e: Ellipsoid):
         if t.size != e.dim:
             raise InvalidInput("theta dimension does not match ellipsoid")
         t = t.reshape(1, -1)
-    z = standardize(t, e)
-    out = np.einsum("ij,ij->i", z, z)
+    a = _checked_draws(t, e)
+    out = np.empty(a.shape[0])
+    for rows, z in _standardized_blocks(a, e):
+        out[rows] = np.einsum("ij,ij->i", z, z)
     return float(out[0]) if single else out
+
+
+def logsumexp(a):
+    """log(sum(exp(a))) over every entry of a, as scipy.special.logsumexp
+    computes it: shifted by the maximum, whose entries are counted apart
+    and enter through log1p. The unshifted sum is taken only when that
+    result is not finite (all entries -inf, an entry +inf or NaN, or an
+    overflow); empty input gives -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    a_max = a.max()
+    if np.isfinite(a_max):
+        at_max = a == a_max
+        n_max = np.count_nonzero(at_max)
+        x = a - a_max
+        x[at_max] = -np.inf
+        s = np.sum(np.exp(x, out=x))
+        out = np.log1p(s / n_max if s else s) + np.log(n_max) + a_max
+        if np.isfinite(out):
+            return float(out)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return float(np.log(np.sum(np.exp(a))))
 
 
 def log_volume(e: Ellipsoid):
@@ -184,5 +228,5 @@ def log_volume(e: Ellipsoid):
         d * np.log(e.radius)
         + 0.5 * d * np.log(np.pi)
         + 0.5 * e.log_det_sigma
-        - gammaln(0.5 * d + 1.0)
+        - math.lgamma(0.5 * d + 1.0)
     )

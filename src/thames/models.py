@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.special import gammaln
 
 from .correction import SupportPredicate
 from .errors import InvalidInput
@@ -210,6 +209,8 @@ class DirMultModel:
 
     @staticmethod
     def _log_dirichlet_pdf(full, alpha):
+        from scipy.special import gammaln
+
         ok = np.all(full > 0.0, axis=1)
         out = np.full(full.shape[0], -np.inf)
         if np.any(ok):
@@ -224,6 +225,8 @@ class DirMultModel:
     def log_likelihood(self, draws):
         """Multinomial coefficients are included; the exact marginal uses the
         same convention, which is all that matters for consistency."""
+        from scipy.special import gammaln
+
         full = self._full_simplex(draws)
         coeff = float(np.sum(gammaln(self.l + 1.0) - gammaln(self.data + 1.0)
                              .sum(axis=1)))

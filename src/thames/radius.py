@@ -18,12 +18,18 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln, logsumexp
 
 from .errors import InvalidInput, NumericalFailure, Overflow
+from .geometry import logsumexp
 
 _GL_ORDER = 24
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+
+
+@functools.cache
+def _gauss_legendre():
+    """Nodes and log weights of the order-_GL_ORDER Gauss-Legendre rule."""
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+    return nodes, np.log(weights)
 
 
 @dataclass(frozen=True)
@@ -85,12 +91,13 @@ def _log_integral_panels(d, c, n_panels):
     edges = np.linspace(0.0, c, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes, log_weights = _gauss_legendre()
     # nodes: (n_panels, order)
-    r = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    r = mid[:, None] + half[:, None] * nodes[None, :]
     with np.errstate(divide="ignore"):
         log_g = 0.5 * r * r + (d - 1) * np.log(r)
-    log_w = np.log(half)[:, None] + np.log(_GL_WEIGHTS)[None, :]
-    return float(logsumexp(log_g + log_w))
+    log_w = np.log(half)[:, None] + log_weights[None, :]
+    return logsumexp(log_g + log_w)
 
 
 def log_f(d, c, tol=1e-10, max_panels=4096):
@@ -113,7 +120,11 @@ def log_f(d, c, tol=1e-10, max_panels=4096):
 
 
 def _log_scv_plus_one(d, c):
-    # kappa_d * c^-(d+2) * f(d, c), assembled in logs
+    # kappa_d * c^-(d+2) * f(d, c), assembled in logs. scipy's gammaln,
+    # not math.lgamma: the two can differ in the last bit, and the scv
+    # table prints 17 digits
+    from scipy.special import gammaln
+
     log_kappa = np.log(d) + 0.5 * d * np.log(2.0) + gammaln(0.5 * d + 1.0)
     return log_kappa - (d + 2) * np.log(c) + log_f(d, c)
 
@@ -155,6 +166,8 @@ def optimal_radius(d):
 
 def chi_square_median_radius(d):
     """sqrt of the chi-squared(d) median, the x with P(d/2, x/2) = 1/2."""
+    from scipy.special import gammaincinv
+
     d = _check_dim(d)
     return float(np.sqrt(2.0 * gammaincinv(0.5 * d, 0.5)))
 

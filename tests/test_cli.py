@@ -5,6 +5,9 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -368,6 +371,10 @@ class TestCorrectCommand:
         ["correct", "--support", "unbounded", "--n", "0"],
         ["correct", "--support", "unbounded", "--ci", "1.5"],
         ["estimate", "--ci", "1.5"],
+        ["estimate", "--ci", "0"],
+        ["estimate", "--seed", "-1"],
+        ["correct", "--support", "unbounded", "--n", "-5"],
+        ["correct", "--support", "unbounded", "--ci", "nan"],
     ])
     def test_bad_option_fails_before_input_is_read(self, tmp_path, capsys, argv):
         path = str(tmp_path / "bad.csv")
@@ -376,7 +383,10 @@ class TestCorrectCommand:
         code, out = run_cli(capsys, argv[0], path, *argv[1:])
         assert code == 2  # not the parse error, exit 3, of the file
         lines = out.splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "usage"
+        assert error["message"].startswith(f"argument {argv[-2]}: ")
 
     def test_unbounded_is_identity(self, tmp_path, capsys):
         path = str(tmp_path / "draws.csv")
@@ -502,3 +512,43 @@ class TestReplicateCommand:
         best_exact = max(rows, key=lambda r: float(r["exact_log_z"]))
         best_thames = max(rows, key=lambda r: float(r["thames_log_z"]))
         assert best_exact["model"] == "M2" == best_thames["model"]
+
+
+class TestStartupImports:
+    def test_estimate_correct_and_replicate_do_not_load_scipy(self, tmp_path):
+        path = str(tmp_path / "draws.csv")
+        write_draw_csv(path, t=1000)
+        report = str(tmp_path / "modules.json")
+        script = textwrap.dedent(f"""
+            import json, sys
+            from thames.cli import main
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules
+                              if m == "scipy" or m.startswith("scipy."))
+
+            runs = [
+                ["estimate", {path!r}],
+                ["estimate", {path!r}, "--radius", "grid:1.5,2,2.5", "--ar1"],
+                ["correct", {path!r}, "--support", "positive:0,1", "--n", "1000"],
+                ["replicate", "gaussian-T", "--out", {str(tmp_path)!r}],
+                ["replicate", "toy-figure7", "--out", {str(tmp_path)!r}],
+            ]
+            codes = [main(argv) for argv in runs]
+            before = scipy_modules()
+            # the commands that need scipy import it when they run
+            codes += [main(["scv", "--dmax", "3"]),
+                      main(["estimate", {path!r}, "--radius", "optimal"])]
+            with open({report!r}, "w") as fh:
+                json.dump({{"codes": codes, "before": before,
+                           "after": scipy_modules()}}, fh)
+        """)
+        src = os.path.dirname(os.path.dirname(radius.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        with open(report) as fh:
+            result = json.load(fh)
+        assert result["codes"] == [0] * 7
+        assert result["before"] == []
+        assert "scipy.special" in result["after"]

@@ -150,6 +150,13 @@ class TestVolumeRatio:
         assert exc_info.value.ci is not None
         assert exc_info.value.ci[0] == 0.0
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+    def test_rejects_bad_level(self, level):
+        e = Ellipsoid(np.zeros(2), np.eye(2), 1.0)
+        with pytest.raises(InvalidInput):
+            estimate_volume_ratio(e, SupportPredicate.unbounded(), 100, seed=0,
+                                  ci_level=level)
+
     def test_quarter_plane_oracle(self):
         # orthant through the center of a spherical ellipsoid: ratio 1/4
         e = Ellipsoid(np.zeros(2), np.eye(2), 2.0)
@@ -209,6 +216,27 @@ class TestEstimatorIntegration:
         assert auto.correction_ratio == manual.correction_ratio
         assert auto.correction_ci == r_ci
         assert plain.correction_ci is None
+
+    def test_correction_ci_follows_ci_level(self):
+        model = GaussianMeanModel(1.0, gaussian_dataset(2, seed=8))
+        draws = model.posterior_sample(2000, 9)
+        log_post = model.log_post(draws)
+        c0, c1 = thames(draws, log_post).ellipsoid.center
+        # a box through the ellipsoid's center, so R is near 1/2
+        cfg = ConstrainedCorrectionConfig(
+            support=SupportPredicate.box((c0, c1 - 100.0), (c0 + 100.0, c1 + 100.0)),
+            n_samples=5000, seed=13)
+        widths = []
+        for level in (0.5, 0.95, 0.99):
+            res = thames(draws, log_post,
+                         ThamesOptions(ci_level=level, correction=cfg))
+            _, r_ci = estimate_volume_ratio(res.ellipsoid, cfg.support,
+                                            cfg.n_samples, cfg.seed, level)
+            assert res.correction_ci == r_ci
+            lower, upper = res.correction_ci
+            assert lower < res.correction_ratio < upper
+            widths.append(upper - lower)
+        assert widths[0] < widths[1] < widths[2]
 
     def test_config_validates_sample_count(self):
         with pytest.raises(InvalidInput):

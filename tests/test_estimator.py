@@ -18,6 +18,7 @@ from thames.errors import (
 from thames.estimator import (
     ThamesOptions,
     ThamesResult,
+    _two_sided_z,
     ar1_inflation,
     confidence_interval,
     empirical_scv,
@@ -176,6 +177,15 @@ class TestConfidenceInterval:
     def test_rejects_bad_level(self):
         with pytest.raises(InvalidInput):
             confidence_interval(0.0, 0.1, 1.5)
+
+    @pytest.mark.parametrize("level", [0.1, 0.5, 0.6827, 0.8, 0.9, 0.95, 0.99,
+                                       0.999, 0.999999])
+    def test_normal_quantile_matches_ndtri(self, level):
+        expected = ndtri(0.5 * (1.0 + level))
+        z = _two_sided_z(level)
+        assert abs(z - expected) <= 4 * np.spacing(expected)
+        lower, _ = confidence_interval(0.0, 0.01, level)
+        assert lower == pytest.approx(-math.log1p(expected * 0.01), rel=1e-15)
 
 
 class TestSerialCorrection:

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
+from scipy.linalg import solve_triangular
 
 from thames.errors import InvalidInput, NotPositiveDefinite
 from thames.geometry import (
+    _BLOCK_ROWS,
     Ellipsoid,
     as_draw_matrix,
     as_log_density_vector,
     cholesky_factor,
     log_volume,
+    logsumexp,
     mahalanobis_sq,
     sample_covariance,
     sample_mean,
@@ -153,6 +157,35 @@ class TestEllipsoid:
         batch = mahalanobis_sq(pts, e)
         assert np.allclose(batch, [mahalanobis_sq(p, e) for p in pts])
 
+    @staticmethod
+    def _triangular_solve_reference(a, e):
+        z = solve_triangular(e.scale, (a - e.center).T, lower=True).T
+        return z, np.einsum("ij,ij->i", z, z)
+
+    @pytest.mark.parametrize("t", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_blocks_match_triangular_solve(self, t):
+        a = RNG.standard_normal((t, 4)) @ np.array(
+            [[1.0, 0.0, 0.0, 0.0], [0.5, 2.0, 0.0, 0.0],
+             [-0.3, 0.2, 0.4, 0.0], [1.0, -1.0, 0.5, 3.0]])
+        e = Ellipsoid.fit(a, 1.0)
+        z_ref, maha_ref = self._triangular_solve_reference(a, e)
+        assert np.allclose(standardize(a, e), z_ref, rtol=1e-12, atol=1e-12)
+        maha = mahalanobis_sq(a, e)
+        assert maha.shape == (t,)
+        assert np.allclose(maha, maha_ref, rtol=1e-12, atol=0.0)
+
+    def test_ill_conditioned_covariance_matches_triangular_solve(self):
+        d = 6
+        q, _ = np.linalg.qr(RNG.standard_normal((d, d)))
+        sigma = (q * np.logspace(0.0, -8.0, d)) @ q.T  # condition number 1e8
+        sigma = 0.5 * (sigma + sigma.T)
+        assert np.linalg.cond(sigma) == pytest.approx(1e8, rel=1e-3)
+        e = Ellipsoid.from_moments(np.arange(d, dtype=float), sigma, 1.0)
+        a = e.center + RNG.standard_normal((_BLOCK_ROWS + 7, d)) @ e.scale.T
+        z_ref, maha_ref = self._triangular_solve_reference(a, e)
+        assert np.allclose(standardize(a, e), z_ref, rtol=0.0, atol=1e-10)
+        assert np.allclose(mahalanobis_sq(a, e), maha_ref, rtol=1e-10, atol=0.0)
+
     def test_standardize_whitens(self):
         a = RNG.standard_normal((2000, 2)) @ np.array([[2.0, 0.0], [1.5, 0.3]])
         e = Ellipsoid.fit(a, 1.0)
@@ -160,7 +193,54 @@ class TestEllipsoid:
         assert np.allclose(np.cov(z, rowvar=False), np.eye(2), atol=0.01)
 
 
+def ulp_distance(x, y):
+    """Distance between two finite doubles in units of the larger one's ulp."""
+    return abs(x - y) / np.spacing(max(abs(x), abs(y)))
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("a", [
+        [3.7],
+        [1.0, 2.5, 2.5, -4.0, 2.5],
+        [-np.inf, 0.5, -np.inf, 1.0],
+        RNG.standard_normal((7, 5)),
+        1000.0 + 3.0 * RNG.standard_normal(2000),
+        -1000.0 + 3.0 * RNG.standard_normal(2000),
+        np.concatenate([[1e3, 1e3], 1e3 - RNG.exponential(5.0, 500)]),
+        [-745.0, -744.0, -746.5],
+        [700.0, 709.0, 709.5],
+    ], ids=["one", "duplicated-max", "minus-inf-entries", "2d",
+            "around+1e3", "around-1e3", "duplicated-max-1e3", "underflow",
+            "near-overflow"])
+    def test_matches_scipy_within_2_ulp(self, a):
+        expected = float(special.logsumexp(a))
+        got = logsumexp(a)
+        assert isinstance(got, float)
+        assert ulp_distance(got, expected) <= 2.0
+
+    @pytest.mark.parametrize("a, expected", [
+        ([], -np.inf),
+        ([-np.inf, -np.inf], -np.inf),
+        ([0.0, np.inf], np.inf),
+    ])
+    def test_edge_cases_match_scipy(self, a, expected):
+        assert logsumexp(a) == expected == special.logsumexp(a)
+
+    def test_nan_propagates(self):
+        assert math.isnan(logsumexp([0.0, np.nan]))
+
+
 class TestLogVolume:
+    def test_matches_gammaln_formula(self):
+        radius = 1.3
+        for d in range(1, 501):
+            e = Ellipsoid(np.zeros(d), np.diag(np.full(d, 0.7)), radius)
+            gamma_term = special.gammaln(0.5 * d + 1.0)
+            expected = (d * np.log(radius) + 0.5 * d * np.log(np.pi)
+                        + 0.5 * e.log_det_sigma - gamma_term)
+            assert log_volume(e) == pytest.approx(
+                expected, rel=1e-14, abs=1e-14 * abs(gamma_term))
+
     def test_unit_ball_low_dimensions(self):
         # d=1: 2c, d=2: pi c^2, d=3: 4/3 pi c^3
         for d, expected in ((1, 2.0 * 1.7), (2, math.pi * 1.7 ** 2),
