@@ -35,9 +35,6 @@ from .geometry import (
     cholesky_factor,
     log_volume,
     mahalanobis_sq,
-    sample_covariance,
-    sample_mean,
-    standardize,
 )
 from .models import (
     DirMultModel,

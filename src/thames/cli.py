@@ -385,6 +385,11 @@ def _base_report(result, args, checksum):
 def cmd_estimate(args, stdout):
     opts = _options_from_args(args)  # bad flag values fail before any input is read
     draws, log_post = load_table(args.input)
+    if opts.correction is not None:
+        try:  # a support's dimension can be checked only against the table
+            opts.correction.support.contains(draws[:1])
+        except InvalidInput as exc:
+            raise InvalidInput(f"argument --support: {exc}") from None
     result = thames(draws, log_post, opts)
     report = _base_report(result, args, file_checksum(args.input))
     if result.correction_ci is not None:
@@ -646,6 +651,14 @@ class _JsonErrorParser(argparse.ArgumentParser):
     def error(self, message):
         emit_error("usage", message, sys.stdout)
         self.exit(2)
+
+    def _get_values(self, action, arg_strings):
+        # before Python 3.13 argparse drops a "--" value, so "--ci=--"
+        # would reach the command as an empty list
+        if action.option_strings and arg_strings == ["--"]:
+            self.error(f"argument {'/'.join(action.option_strings)}: "
+                       "expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
 def build_parser():

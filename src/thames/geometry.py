@@ -51,19 +51,9 @@ def as_log_density_vector(values, n_rows):
     return v
 
 
-def sample_mean(draws):
-    """Columnwise arithmetic mean of a draw matrix."""
-    a = as_draw_matrix(draws, min_rows=1)
-    return a.mean(axis=0)
-
-
-def sample_covariance(draws):
-    """Unbiased (divisor T-1) sample covariance; symmetric by construction."""
-    return _covariance(as_draw_matrix(draws, min_rows=2))
-
-
 def _covariance(a):
-    """sample_covariance for a matrix as_draw_matrix has validated."""
+    """Unbiased (divisor T-1) sample covariance of a matrix as_draw_matrix
+    has validated; symmetric by construction."""
     c = np.atleast_2d(np.cov(a, rowvar=False, ddof=1))
     return 0.5 * (c + c.T)
 
@@ -151,31 +141,6 @@ def _fit(a, radius, ridge=False):
                                   ridge=ridge)
 
 
-def _standardized_blocks(a, e: Ellipsoid):
-    """(rows, z) per block of rows of a validated matrix, where row i of z
-    is Lo^-1 (a[i] - center), computed as (a[rows] - center) @ Lo^-T."""
-    inv_t = np.linalg.inv(e.scale).T
-    for start in range(0, a.shape[0], _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        yield rows, (a[rows] - e.center) @ inv_t
-
-
-def _checked_draws(draws, e: Ellipsoid):
-    a = as_draw_matrix(draws)
-    if a.shape[1] != e.dim:
-        raise InvalidInput("draw dimension does not match ellipsoid")
-    return a
-
-
-def standardize(draws, e: Ellipsoid):
-    """Map each row theta to Lo^-1 (theta - center)."""
-    a = _checked_draws(draws, e)
-    z = np.empty_like(a)
-    for rows, zb in _standardized_blocks(a, e):
-        z[rows] = zb
-    return z
-
-
 def mahalanobis_sq(theta, e: Ellipsoid):
     """(theta - center)^T Sigma^-1 (theta - center), the squared norm of
     the standardized point.
@@ -186,13 +151,15 @@ def mahalanobis_sq(theta, e: Ellipsoid):
     """
     t = np.asarray(theta, dtype=float)
     single = t.ndim == 1
-    if single:
-        if t.size != e.dim:
-            raise InvalidInput("theta dimension does not match ellipsoid")
-        t = t.reshape(1, -1)
-    a = _checked_draws(t, e)
+    a = as_draw_matrix(t.reshape(1, -1) if single else t)
+    if a.shape[1] != e.dim:
+        raise InvalidInput("theta dimension does not match ellipsoid")
+    # row i of z is Lo^-1 (a[i] - center), computed as (a - center) @ Lo^-T
+    inv_t = np.linalg.inv(e.scale).T
     out = np.empty(a.shape[0])
-    for rows, z in _standardized_blocks(a, e):
+    for start in range(0, a.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        z = (a[rows] - e.center) @ inv_t
         out[rows] = np.einsum("ij,ij->i", z, z)
     return float(out[0]) if single else out
 

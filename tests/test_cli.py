@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, determinism, round trips."""
 
+import contextlib
 import csv
 import io
 import json
@@ -12,6 +13,8 @@ import textwrap
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from thames import radius
@@ -310,6 +313,8 @@ class TestEstimateCommand:
         ["estimate"],
         ["estimate", "draws.csv", "--ci", "2x"],
         ["estimate", "draws.csv", "--bogus"],
+        ["estimate", "draws.csv", "--ci=--"],
+        ["scv", "--policies=--"],
         ["replicate", "bogus", "--out", "unused"],
         [],
         ["scv", "--policies", "bogus"],
@@ -388,6 +393,18 @@ class TestCorrectCommand:
         assert error["error"] == "usage"
         assert error["message"].startswith(f"argument {argv[-2]}: ")
 
+    @pytest.mark.parametrize("spec", ["positive:2", "positive:-1", "box:0:1"])
+    def test_support_of_wrong_dimension_names_the_flag(self, tmp_path, capsys,
+                                                       spec):
+        # checked once the table, here of dimension 2, has been read
+        path = str(tmp_path / "draws.csv")
+        write_draw_csv(path, t=200)
+        code, out = run_cli(capsys, "correct", path, "--support", spec)
+        assert code == 2
+        error = json.loads(out)
+        assert error["error"] == "usage"
+        assert error["message"].startswith("argument --support: ")
+
     def test_unbounded_is_identity(self, tmp_path, capsys):
         path = str(tmp_path / "draws.csv")
         write_draw_csv(path, t=1000)
@@ -409,6 +426,105 @@ class TestCorrectCommand:
         error = json.loads(out)
         assert error["error"] == "numerical"
         assert error["correction_ci_lower"] == 0.0
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of an in-process run of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def flag_text(*prefixes):
+    """Arbitrary text, alone or after one of the prefixes that lead a
+    flag's parser past its first branch."""
+    text = st.text(max_size=24)
+    if not prefixes:
+        return text
+    return text | st.tuples(st.sampled_from(prefixes), text).map("".join)
+
+
+def at_most(limit):
+    """True unless text reads as an int above limit: a large --dmax or
+    --n is well-formed but slow, and not what these properties probe."""
+    def check(text):
+        try:
+            return int(text) <= limit
+        except ValueError:
+            return True
+    return check
+
+
+@pytest.fixture(scope="module")
+def small_table(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("flags") / "draws.csv")
+    write_draw_csv(path, t=200)
+    return path
+
+
+class TestMalformedFlagProperties:
+    """Whatever text a flag carries, the run exits 0 or prints exactly one
+    JSON error object: exit 2 ("usage", naming the flag) for a malformed
+    value, exit 4 ("numerical") for a well-formed radius or support that
+    the data cannot use. No traceback reaches stdout or stderr."""
+
+    @staticmethod
+    def check(argv, flag, numerical_ok=False):
+        code, out, err = run_captured(argv)
+        assert "Traceback" not in out + err
+        if code == 0:
+            return
+        lines = out.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert isinstance(report, dict) and "error" in report
+        if code == 4 and numerical_ok:
+            assert report["error"] == "numerical"
+        else:
+            assert code == 2
+            assert report["error"] == "usage" and flag in report["message"]
+
+    @given(flag_text("fixed:", "grid:", "grid:1,", "fixed:1e"))
+    @settings(max_examples=60, deadline=None)
+    def test_radius(self, small_table, text):
+        self.check(["estimate", small_table, f"--radius={text}"], "--radius",
+                   numerical_ok=True)
+
+    @given(flag_text("positive:", "box:", "box:0:", "box:-1:1,"))
+    @settings(max_examples=60, deadline=None)
+    def test_support(self, small_table, text):
+        self.check(["correct", small_table, f"--support={text}"], "--support",
+                   numerical_ok=True)
+
+    @given(flag_text("0.", "1e"))
+    @settings(max_examples=40, deadline=None)
+    def test_ci(self, small_table, text):
+        self.check(["estimate", small_table, f"--ci={text}"], "--ci")
+
+    @given(flag_text().filter(at_most(10_000)))
+    @settings(max_examples=40, deadline=None)
+    def test_n(self, small_table, text):
+        self.check(["correct", small_table, "--support", "unbounded",
+                    f"--n={text}"], "--n")
+
+    @given(flag_text("1", "-"))
+    @settings(max_examples=40, deadline=None)
+    def test_seed(self, small_table, text):
+        self.check(["correct", small_table, "--support", "unbounded",
+                    f"--seed={text}"], "--seed")
+
+    @given(flag_text().filter(at_most(20)))
+    @settings(max_examples=40, deadline=None)
+    def test_scv_dmax(self, text):
+        self.check(["scv", "--policies", "sqrt_d_plus_1", f"--dmax={text}"],
+                   "--dmax")
+
+    @given(flag_text("fixed:", "fixed:1e", "grid:"))
+    @settings(max_examples=60, deadline=None)
+    def test_scv_policies(self, text):
+        self.check(["scv", "--dmax", "2", f"--policies={text}"], "--policies",
+                   numerical_ok=True)
 
 
 class TestScvCommand:

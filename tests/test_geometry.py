@@ -13,15 +13,13 @@ from thames.errors import InvalidInput, NotPositiveDefinite
 from thames.geometry import (
     _BLOCK_ROWS,
     Ellipsoid,
+    _covariance,
     as_draw_matrix,
     as_log_density_vector,
     cholesky_factor,
     log_volume,
     logsumexp,
     mahalanobis_sq,
-    sample_covariance,
-    sample_mean,
-    standardize,
 )
 
 RNG = np.random.default_rng(12345)
@@ -56,13 +54,13 @@ class TestValidators:
 class TestMoments:
     def test_mean_and_covariance_small_case(self):
         a = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-        assert np.allclose(sample_mean(a), [1.0, 1.0])
-        cov = sample_covariance(a)
-        assert np.allclose(cov, [[4.0 / 3.0, 0.0], [0.0, 4.0 / 3.0]])
+        e = Ellipsoid.fit(a, 1.0)
+        assert np.allclose(e.center, [1.0, 1.0])
+        assert np.allclose(e.scale @ e.scale.T, [[4.0 / 3.0, 0.0], [0.0, 4.0 / 3.0]])
 
     def test_covariance_is_symmetric(self):
         a = RNG.standard_normal((50, 4))
-        cov = sample_covariance(a)
+        cov = _covariance(as_draw_matrix(a))
         assert np.array_equal(cov, cov.T)
 
 
@@ -101,8 +99,8 @@ class TestEllipsoid:
     def test_fit_matches_moments(self):
         a = RNG.standard_normal((500, 3)) * [1.0, 2.0, 0.5]
         e = Ellipsoid.fit(a, 2.0)
-        assert np.allclose(e.center, sample_mean(a))
-        assert np.allclose(e.scale @ e.scale.T, sample_covariance(a))
+        assert np.allclose(e.center, a.mean(axis=0))
+        assert np.allclose(e.scale @ e.scale.T, np.cov(a, rowvar=False))
 
     def test_rejects_bad_radius(self):
         with pytest.raises(InvalidInput):
@@ -121,10 +119,8 @@ class TestEllipsoid:
             Ellipsoid(np.array(center), np.array(scale), 1.0)
 
     @pytest.mark.parametrize("fn", [
-        sample_mean,
-        sample_covariance,
         lambda a: Ellipsoid.fit(a, 1.0),
-        lambda a: standardize(a, Ellipsoid(np.zeros(2), np.eye(2), 1.0)),
+        lambda a: mahalanobis_sq(a[1], Ellipsoid(np.zeros(2), np.eye(2), 1.0)),
         lambda a: mahalanobis_sq(a, Ellipsoid(np.zeros(2), np.eye(2), 1.0)),
     ])
     def test_public_functions_validate_draws(self, fn):
@@ -132,14 +128,14 @@ class TestEllipsoid:
             fn(np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, 1.0]]))
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_standardize_leaves_input_unchanged(self, order):
+    def test_mahalanobis_leaves_input_unchanged(self, order):
         a = np.asarray(RNG.standard_normal((50, 3)), order=order)
         before = a.copy()
         e = Ellipsoid.fit(a, 1.0)
-        z = standardize(a, e)
+        maha = mahalanobis_sq(a, e)
         assert np.array_equal(a, before)
-        expected = np.linalg.solve(e.scale, (a - e.center).T).T
-        assert np.allclose(z, expected, rtol=1e-12, atol=1e-12)
+        z = np.linalg.solve(e.scale, (a - e.center).T).T
+        assert np.allclose(maha, np.sum(z * z, axis=1), rtol=1e-12, atol=1e-12)
 
     def test_mahalanobis_against_explicit_inverse(self):
         a = RNG.standard_normal((8, 3))
@@ -160,7 +156,7 @@ class TestEllipsoid:
     @staticmethod
     def _triangular_solve_reference(a, e):
         z = solve_triangular(e.scale, (a - e.center).T, lower=True).T
-        return z, np.einsum("ij,ij->i", z, z)
+        return np.einsum("ij,ij->i", z, z)
 
     @pytest.mark.parametrize("t", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     def test_blocks_match_triangular_solve(self, t):
@@ -168,8 +164,7 @@ class TestEllipsoid:
             [[1.0, 0.0, 0.0, 0.0], [0.5, 2.0, 0.0, 0.0],
              [-0.3, 0.2, 0.4, 0.0], [1.0, -1.0, 0.5, 3.0]])
         e = Ellipsoid.fit(a, 1.0)
-        z_ref, maha_ref = self._triangular_solve_reference(a, e)
-        assert np.allclose(standardize(a, e), z_ref, rtol=1e-12, atol=1e-12)
+        maha_ref = self._triangular_solve_reference(a, e)
         maha = mahalanobis_sq(a, e)
         assert maha.shape == (t,)
         assert np.allclose(maha, maha_ref, rtol=1e-12, atol=0.0)
@@ -182,15 +177,15 @@ class TestEllipsoid:
         assert np.linalg.cond(sigma) == pytest.approx(1e8, rel=1e-3)
         e = Ellipsoid.from_moments(np.arange(d, dtype=float), sigma, 1.0)
         a = e.center + RNG.standard_normal((_BLOCK_ROWS + 7, d)) @ e.scale.T
-        z_ref, maha_ref = self._triangular_solve_reference(a, e)
-        assert np.allclose(standardize(a, e), z_ref, rtol=0.0, atol=1e-10)
+        maha_ref = self._triangular_solve_reference(a, e)
         assert np.allclose(mahalanobis_sq(a, e), maha_ref, rtol=1e-10, atol=0.0)
 
-    def test_standardize_whitens(self):
+    def test_whitens_fit_draws(self):
+        # the distances of the draws the ellipsoid was fitted to sum to
+        # trace((T-1) Sigma^-1 Sigma) = (T-1) d
         a = RNG.standard_normal((2000, 2)) @ np.array([[2.0, 0.0], [1.5, 0.3]])
         e = Ellipsoid.fit(a, 1.0)
-        z = standardize(a, e)
-        assert np.allclose(np.cov(z, rowvar=False), np.eye(2), atol=0.01)
+        assert np.sum(mahalanobis_sq(a, e)) == pytest.approx(1999 * 2, rel=1e-10)
 
 
 def ulp_distance(x, y):

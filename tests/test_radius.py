@@ -1,5 +1,7 @@
-"""Radius theory: quadrature, recursion oracles, optimal radius, bounds."""
+"""Radius theory: Kummer series, quadrature and recursion oracles,
+optimal radius, bounds."""
 
+import json
 import math
 
 import numpy as np
@@ -8,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from thames.cli import main
 from thames.errors import InvalidInput, Overflow
 from thames.radius import (
+    MAX_RADIUS,
     RadiusPolicy,
     chi_square_median_radius,
     log_f,
@@ -40,6 +44,24 @@ def brute_force_f(d, c, panels=50_000):
     return float(integrate.simpson(g, x=r) * c ** (-(d - 2)))
 
 
+def scaled_quad_log_f(d, c):
+    """log f(d, c) by adaptive quadrature of the integrand divided by its
+    value at r = c, so that no evaluation overflows; the last 40 widths
+    of the integrand's peak are integrated apart from the rest."""
+    top = 0.5 * c * c + (d - 1) * math.log(c)
+
+    def g(r):
+        if r == 0.0:
+            return math.exp(-top) if d == 1 else 0.0
+        return math.exp(0.5 * r * r + (d - 1) * math.log(r) - top)
+
+    split = max(0.0, c - 40.0 / (c + (d - 1) / c))
+    head = integrate.quad(g, 0.0, split, epsabs=0.0, epsrel=1e-13,
+                          limit=200)[0] if split > 0 else 0.0
+    tail = integrate.quad(g, split, c, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return top + math.log(head + tail) - (d - 2) * math.log(c)
+
+
 class TestLogF:
     def test_d1_closed_form(self):
         # f(1, c) = c sqrt(pi/2) erfi(c / sqrt(2))
@@ -67,6 +89,33 @@ class TestLogF:
     def test_large_dimension_no_overflow(self):
         value = log_f(2000, math.sqrt(2001.0))
         assert np.isfinite(value)
+
+    @pytest.mark.parametrize("d", [200, 500, 1000, 2000])
+    def test_high_dimension_matches_quadrature(self, d):
+        for c in (1.0, math.sqrt(d), math.sqrt(d + 1.0), math.sqrt(2.0 * d + 4.0)):
+            assert log_f(d, c) == pytest.approx(scaled_quad_log_f(d, c), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 50, 2000])
+    def test_radius_whose_square_underflows(self, d):
+        # f(d, c) = c^2/d (1 + O(c^2)), and c^2 underflows to 0 here
+        value = log_f(d, 1e-300)
+        assert np.isfinite(value)
+        assert value == pytest.approx(2.0 * math.log(1e-300) - math.log(d), rel=1e-12)
+
+    def test_cap(self):
+        # the largest window the series ever sums, at c = MAX_RADIUS
+        assert np.isfinite(log_f(3, MAX_RADIUS))
+        assert log_f(3, MAX_RADIUS) == pytest.approx(
+            scaled_quad_log_f(3, MAX_RADIUS), rel=1e-12)
+        for c in (np.nextafter(MAX_RADIUS, np.inf), 1e6, 1e300):
+            with pytest.raises(Overflow):
+                log_f(3, c)
+
+    def test_scv_beyond_cap_is_one_json_line(self, capsys):
+        code = main(["scv", "--dmax", "2", "--policies", "fixed:5000"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 4
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "numerical"
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidInput):
