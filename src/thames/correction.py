@@ -115,40 +115,56 @@ class ConstrainedCorrectionConfig:
 _BLOCK_ROWS = 1 << 14
 
 
-def sample_uniform_ellipsoid(e: Ellipsoid, n, seed):
-    """n iid uniform points in the open ellipsoid, deterministic per seed.
+def _uniform_blocks(e: Ellipsoid, n, seed):
+    """Yield n uniform points in the ellipsoid, _BLOCK_ROWS rows at a time.
 
-    Direction from a normalized Gaussian vector, radius from c * u^(1/d).
+    Each block draws its normals g, then its radii r, from the seed's one
+    Philox stream and maps them to center + (g @ scale.T) * (r / |g|).
     """
     _check_sample_count(n)
     rng = _rng(seed)
     d = e.dim
-    g = rng.standard_normal((n, d))
-    r = e.radius * rng.random(n) ** (1.0 / d)
-    # each block of rows is turned into points in place, so at most one
-    # block of temporaries is alive beside the n x d output
     for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        blk = g[rows]
-        norms = np.linalg.norm(blk, axis=1, keepdims=True)
+        rows = min(_BLOCK_ROWS, n - start)
+        g = rng.standard_normal((rows, d))
+        r = e.radius * rng.random(rows) ** (1.0 / d)
+        norms = np.sqrt(np.einsum("ij,ij->i", g, g))
         norms[norms == 0.0] = 1.0  # measure-zero guard
-        blk /= norms
-        blk *= r[rows, None]
-        g[rows] = e.center + blk @ e.scale.T
-    return g
+        pts = g @ e.scale.T
+        pts *= (r / norms)[:, None]
+        pts += e.center
+        yield pts
+
+
+def sample_uniform_ellipsoid(e: Ellipsoid, n, seed):
+    """n iid uniform points in the open ellipsoid, deterministic per seed.
+
+    Direction from a normalized Gaussian vector, radius from c * u^(1/d).
+    Rows come in blocks of _BLOCK_ROWS: each block's normals and then its
+    radii are drawn in turn from one Philox stream, so the points for a
+    seed depend on _BLOCK_ROWS. estimate_volume_ratio counts the same
+    blocks without holding them all.
+    """
+    _check_sample_count(n)
+    out = np.empty((n, e.dim))
+    for i, pts in enumerate(_uniform_blocks(e, n, seed)):
+        out[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS] = pts
+    return out
 
 
 def estimate_volume_ratio(e: Ellipsoid, support: SupportPredicate, n, seed,
                           ci_level=0.95):
     """Monte Carlo volume ratio R_hat with a normal-approximation CI.
 
-    Raises ZeroSupportOverlap (carrying the CI) when no sample lands in
-    the support, since dividing by R_hat = 0 is undefined.
+    The points of sample_uniform_ellipsoid(e, n, seed) are counted block
+    by block, so memory does not grow with n. Raises ZeroSupportOverlap
+    (carrying the CI) when no sample lands in the support, since dividing
+    by R_hat = 0 is undefined.
     """
     _check_level(ci_level)
-    pts = sample_uniform_ellipsoid(e, n, seed)
-    hits = support.contains(pts)
-    r_hat = float(np.mean(hits))
+    hits = sum(np.count_nonzero(support.contains(pts))
+               for pts in _uniform_blocks(e, n, seed))
+    r_hat = hits / n
     half = _two_sided_z(ci_level) * np.sqrt(r_hat * (1.0 - r_hat) / n)
     ci = (max(0.0, r_hat - half), min(1.0, r_hat + half))
     if r_hat == 0.0:

@@ -150,10 +150,10 @@ def optimal_radius(d):
 
     d = _check_dim(d)
     lo, hi = np.sqrt(d), np.sqrt(d + 4.0)
-    g = lambda c: _foc(d, c)
-    if g(lo) * g(hi) > 0:
-        raise NumericalFailure(f"no sign change bracketing c_{d}")
-    c_d = brentq(g, lo, hi, rtol=1e-12, xtol=1e-12)
+    try:
+        c_d = brentq(lambda c: _foc(d, c), lo, hi, rtol=1e-12, xtol=1e-12)
+    except ValueError as exc:  # brentq's "f(a) and f(b) must have different signs"
+        raise NumericalFailure(f"no sign change bracketing c_{d}") from exc
     return OptimalRadius(c_d=c_d, l_d=c_d * c_d - d, scv_at_opt=scv_normal(d, c_d))
 
 

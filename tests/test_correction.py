@@ -1,6 +1,7 @@
 """Constrained-support correction: predicates, uniform sampling, volume ratio."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,14 +103,18 @@ class TestUniformSampling:
         scale = np.tril(rng.standard_normal((d, d)))
         np.fill_diagonal(scale, 1.0 + rng.random(d))
         e = Ellipsoid(rng.standard_normal(d), scale, math.sqrt(d + 1.0))
-        # the whole-array formula, kept as the reference for the block loop
+        # the reference stream: each block of _BLOCK_ROWS rows draws its
+        # normals, then its radii, and maps them with the whole-block formula
         gen = np.random.Generator(np.random.Philox(key=np.uint64(17)))
-        g = gen.standard_normal((n, d))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        s = g / norms
-        r = e.radius * gen.random(n) ** (1.0 / d)
-        expected = e.center + (s * r[:, None]) @ e.scale.T
+        blocks = []
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, n - start)
+            g = gen.standard_normal((rows, d))
+            r = e.radius * gen.random(rows) ** (1.0 / d)
+            norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+            norms[norms == 0.0] = 1.0
+            blocks.append(e.center + (g @ e.scale.T) * (r / norms)[:, None])
+        expected = np.concatenate(blocks)
         assert np.array_equal(sample_uniform_ellipsoid(e, n, seed=17), expected)
 
     def test_rejects_bad_count(self):
@@ -156,6 +161,29 @@ class TestVolumeRatio:
         with pytest.raises(InvalidInput):
             estimate_volume_ratio(e, SupportPredicate.unbounded(), 100, seed=0,
                                   ci_level=level)
+
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   33_333])
+    def test_counts_the_sampled_points(self, n):
+        # the blockwise count sees exactly the points the sampler returns
+        e = Ellipsoid(np.array([0.3, -0.2, 0.1]), np.eye(3), 1.5)
+        support = SupportPredicate.positive_orthant([0, 2])
+        r_hat, _ = estimate_volume_ratio(e, support, n, seed=5)
+        pts = sample_uniform_ellipsoid(e, n, seed=5)
+        assert r_hat == support.contains(pts).mean()
+
+    def test_memory_does_not_grow_with_n(self):
+        # the whole 10**6 x 10 sample alone would take 80 MB
+        d = 10
+        e = Ellipsoid(np.full(d, 0.2), np.eye(d), math.sqrt(d + 1.0))
+        support = SupportPredicate.positive_orthant(range(d))
+        tracemalloc.start()
+        try:
+            estimate_volume_ratio(e, support, 1_000_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_quarter_plane_oracle(self):
         # orthant through the center of a spherical ellipsoid: ratio 1/4

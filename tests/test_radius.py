@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from thames import radius
 from thames.cli import main
-from thames.errors import InvalidInput, Overflow
+from thames.errors import InvalidInput, NumericalFailure, Overflow
 from thames.radius import (
     MAX_RADIUS,
     RadiusPolicy,
@@ -174,6 +175,27 @@ class TestOptimalRadius:
     def test_l_d_approaches_one(self):
         l_values = [optimal_radius(d).l_d for d in (10, 50, 100, 200)]
         assert abs(l_values[-1] - 1.0) < abs(l_values[0] - 1.0)
+
+    # brentq's evaluations, each bracket end once, plus scv_normal at the root
+    @pytest.mark.parametrize("d, total", [(1, 9), (50, 6), (200, 6)])
+    def test_bracket_ends_evaluated_once(self, d, total, monkeypatch):
+        calls = []
+        real = radius.log_f
+
+        def counting(dim, c):
+            calls.append(c)
+            return real(dim, c)
+
+        monkeypatch.setattr(radius, "log_f", counting)
+        radius.optimal_radius.__wrapped__(d)  # bypass the cache
+        assert calls.count(math.sqrt(d)) == 1
+        assert calls.count(math.sqrt(d + 4.0)) == 1
+        assert len(calls) == total
+
+    def test_no_sign_change_is_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(radius, "_foc", lambda d, c: 1.0)
+        with pytest.raises(NumericalFailure, match="no sign change bracketing c_3"):
+            radius.optimal_radius.__wrapped__(3)
 
 
 class TestChiSquareMedianRadius:
