@@ -24,10 +24,11 @@ from seeds.spawn_seed, and output order is by replication index
 regardless of completion order.
 
 Start-up cost: no module of the package imports scipy when it is
-imported. The few code paths that need it (``scv``, the ``optimal`` and
-``chisq_median`` radii, the Dirichlet-multinomial model) import it when
-they run, so ``estimate`` and ``correct`` load only numpy and the
-standard library.
+imported, and only two code paths import it when they run: ``scv``
+(``scipy.special.gammainc``, for the HPD mass) and the ``chisq_median``
+radius (``scipy.special.gammaincinv``). Every other command, the
+``optimal`` radius and ``replicate dirmult`` included, loads only numpy
+and the standard library.
 """
 
 import argparse
@@ -157,9 +158,25 @@ def _csv_records(reader):
         yield row
 
 
+# under errors="surrogateescape" a byte that is not UTF-8 decodes to a
+# lone surrogate, U+DC80..U+DCFF
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def _utf8_lines(fh):
+    """The lines of a file opened with errors="surrogateescape", with the
+    first byte that is not UTF-8 raised as ParseError at its line."""
+    for line_no, line in enumerate(fh, start=1):
+        bad = None if line.isascii() else _UNDECODED.search(line)
+        if bad:
+            byte = ord(bad.group()) - 0xDC00
+            raise ParseError(f"invalid UTF-8 byte 0x{byte:02x}", line=line_no)
+        yield line
+
+
 def _rows_from_csv(path):
-    with open(path, newline="") as fh:
-        records = _csv_records(csv.reader(fh))
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        records = _csv_records(csv.reader(_utf8_lines(fh)))
         header = next(records, None)
         if header is None:
             raise ParseError("empty file", line=1)
@@ -174,8 +191,8 @@ def _rows_from_csv(path):
 
 
 def _rows_from_jsonl(path):
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(_utf8_lines(fh), start=1):
             if not line.strip():
                 continue
             try:
@@ -219,10 +236,10 @@ def _load_csv_columns(path):
     from the first row's; with usecols it would drop extra fields
     silently. Unused columns go through a converter that ignores them.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             header = next(csv.reader(fh), None)
-        except csv.Error:
+        except (csv.Error, UnicodeDecodeError):
             return None
         if header is None:
             return None
@@ -243,7 +260,7 @@ def _load_csv_columns(path):
                 warnings.simplefilter("ignore", UserWarning)
                 table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
                                    dtype=float, ndmin=2, converters=skipped)
-        except ValueError:
+        except ValueError:  # UnicodeDecodeError included
             return None
     if table.shape[0] == 0 or table.shape[1] != len(names):
         return None

@@ -23,11 +23,11 @@ from .errors import (
 from .geometry import (
     Ellipsoid,
     _fit,
+    _mahalanobis_sq,
     as_draw_matrix,
     as_log_density_vector,
     log_volume,
     logsumexp,
-    mahalanobis_sq,
 )
 from .radius import RadiusPolicy, resolve_radius
 
@@ -219,7 +219,7 @@ def _fit_and_distances(a, lp, radius, opts: ThamesOptions):
     else:
         fit_part, a_est, lp_est = a, a, lp
     e = _fit(fit_part, radius, ridge=opts.ridge)
-    return mahalanobis_sq(a_est, e), lp_est, e
+    return _mahalanobis_sq(a_est, e), lp_est, e
 
 
 def _sweep(maha, lp_est, base, grid, opts: ThamesOptions):
@@ -262,7 +262,7 @@ def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = N
     # the distances are never bound to a name here, so they are freed
     # before the volume-ratio sample below is drawn
     if ellipsoid is not None:
-        result = _estimate_inside(mahalanobis_sq(a, ellipsoid), lp, ellipsoid, opts)
+        result = _estimate_inside(_mahalanobis_sq(a, ellipsoid), lp, ellipsoid, opts)
     elif opts.radius_policy.kind == "grid":
         _, result = _sweep(*_fit_and_distances(a, lp, 1.0, opts),
                            opts.radius_policy.grid, opts)

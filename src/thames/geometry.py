@@ -151,7 +151,12 @@ def mahalanobis_sq(theta, e: Ellipsoid):
     """
     t = np.asarray(theta, dtype=float)
     single = t.ndim == 1
-    a = as_draw_matrix(t.reshape(1, -1) if single else t)
+    out = _mahalanobis_sq(as_draw_matrix(t.reshape(1, -1) if single else t), e)
+    return float(out[0]) if single else out
+
+
+def _mahalanobis_sq(a, e: Ellipsoid):
+    """mahalanobis_sq for a matrix as_draw_matrix has validated."""
     if a.shape[1] != e.dim:
         raise InvalidInput("theta dimension does not match ellipsoid")
     # row i of z is Lo^-1 (a[i] - center), computed as (a - center) @ Lo^-T
@@ -161,7 +166,7 @@ def mahalanobis_sq(theta, e: Ellipsoid):
         rows = slice(start, start + _BLOCK_ROWS)
         z = (a[rows] - e.center) @ inv_t
         out[rows] = np.einsum("ij,ij->i", z, z)
-    return float(out[0]) if single else out
+    return out
 
 
 def logsumexp(a):

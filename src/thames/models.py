@@ -7,6 +7,8 @@ MCMC) are used throughout so that estimator checks are not confounded by
 serial correlation.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -207,42 +209,56 @@ class DirMultModel:
         last = 1.0 - mu.sum(axis=1, keepdims=True)
         return np.concatenate([mu, last], axis=1)
 
-    @staticmethod
-    def _log_dirichlet_pdf(full, alpha):
-        from scipy.special import gammaln
-
+    def _simplex_logs(self, draws):
+        """(ok, log full[ok]): which draws lie inside the open simplex, and
+        the logs of their K coordinates, the last completed to sum to one."""
+        full = self._full_simplex(draws)
         ok = np.all(full > 0.0, axis=1)
-        out = np.full(full.shape[0], -np.inf)
+        return ok, np.log(full[ok])
+
+    @staticmethod
+    def _log_dirichlet_pdf(ok, log_full, alpha):
+        out = np.full(ok.shape[0], -np.inf)
         if np.any(ok):
-            log_norm = gammaln(np.sum(alpha)) - np.sum(gammaln(alpha))
-            out[ok] = log_norm + np.sum((alpha - 1.0) * np.log(full[ok]), axis=1)
+            log_norm = (math.lgamma(np.sum(alpha))
+                        - np.sum(np.array([math.lgamma(a) for a in alpha])))
+            out[ok] = log_norm + np.sum((alpha - 1.0) * log_full, axis=1)
+        return out
+
+    @functools.cached_property
+    def _log_multinomial_coeff(self):
+        """Sum over rows of log(l! / prod_j y_ij!), from a table of log k!."""
+        l = int(self.l)
+        log_factorial = np.array([math.lgamma(k + 1.0) for k in range(l + 1)])
+        counts = self.data.astype(np.intp)
+        return float(np.sum(log_factorial[l] - log_factorial[counts].sum(axis=1)))
+
+    def _log_multinomial(self, ok, log_full):
+        out = np.full(ok.shape[0], -np.inf)
+        if np.any(ok):
+            counts = self.data.sum(axis=0)
+            out[ok] = self._log_multinomial_coeff + log_full @ counts
         return out
 
     def log_prior(self, draws):
-        full = self._full_simplex(draws)
-        return self._log_dirichlet_pdf(full, np.full(self.k, self.a0))
+        return self._log_dirichlet_pdf(*self._simplex_logs(draws),
+                                       np.full(self.k, self.a0))
 
     def log_likelihood(self, draws):
         """Multinomial coefficients are included; the exact marginal uses the
         same convention, which is all that matters for consistency."""
-        from scipy.special import gammaln
-
-        full = self._full_simplex(draws)
-        coeff = float(np.sum(gammaln(self.l + 1.0) - gammaln(self.data + 1.0)
-                             .sum(axis=1)))
-        ok = np.all(full > 0.0, axis=1)
-        out = np.full(full.shape[0], -np.inf)
-        if np.any(ok):
-            counts = self.data.sum(axis=0)
-            out[ok] = coeff + np.log(full[ok]) @ counts
-        return out
+        return self._log_multinomial(*self._simplex_logs(draws))
 
     def log_post(self, draws):
-        return self.log_prior(draws) + self.log_likelihood(draws)
+        """log_prior(draws) + log_likelihood(draws), bit for bit, with the
+        simplex completion and its logs computed once."""
+        ok, log_full = self._simplex_logs(draws)
+        return (self._log_dirichlet_pdf(ok, log_full, np.full(self.k, self.a0))
+                + self._log_multinomial(ok, log_full))
 
     def _log_posterior_pdf(self, draws):
-        full = self._full_simplex(draws)
-        return self._log_dirichlet_pdf(full, self.posterior_alpha())
+        return self._log_dirichlet_pdf(*self._simplex_logs(draws),
+                                       self.posterior_alpha())
 
     def exact_log_marginal(self):
         """log prior + log likelihood - log posterior at an interior point.

@@ -32,6 +32,8 @@ from .geometry import logsumexp
 # the series window grows with c; at this radius the SCV already overflows
 # a double for every d up to 500 000
 MAX_RADIUS = 1000.0
+# Newton steps allowed for c_d; a few suffice whenever _foc changes sign
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -145,16 +147,34 @@ def _foc(d, c):
 
 @functools.cache
 def optimal_radius(d):
-    """Unique SCV-minimizing radius, by bracketing on [sqrt(d), sqrt(d+4)]; cached."""
-    from scipy.optimize import brentq
+    """Unique SCV-minimizing radius c_d, the root of _foc in [sqrt(d), sqrt(d+4)]; cached.
 
+    _foc is positive at sqrt(d), negative at sqrt(d+4), and its
+    derivative is (2d exp(-g) - d - c^2) / c with g = _foc(d, c), so a
+    Newton step costs one log_f call. The steps start at sqrt(d+1); one
+    that would leave the bracket of the signs seen so far bisects it
+    instead. The iteration stops at a Newton step of at most 1e-12 c.
+    """
     d = _check_dim(d)
-    lo, hi = np.sqrt(d), np.sqrt(d + 4.0)
-    try:
-        c_d = brentq(lambda c: _foc(d, c), lo, hi, rtol=1e-12, xtol=1e-12)
-    except ValueError as exc:  # brentq's "f(a) and f(b) must have different signs"
-        raise NumericalFailure(f"no sign change bracketing c_{d}") from exc
-    return OptimalRadius(c_d=c_d, l_d=c_d * c_d - d, scv_at_opt=scv_normal(d, c_d))
+    lo, hi = math.sqrt(d), math.sqrt(d + 4.0)
+    c = math.sqrt(d + 1.0)
+    for _ in range(_MAX_STEPS):
+        g = float(_foc(d, c))
+        if g == 0.0:
+            break
+        if g > 0.0:
+            lo = c
+        else:
+            hi = c
+        slope = (2.0 * d * math.exp(-g) - d - c * c) / c
+        step = -g / slope
+        if abs(step) <= 1e-12 * c:
+            c += step
+            break
+        c = c + step if lo < c + step < hi else 0.5 * (lo + hi)
+    else:
+        raise NumericalFailure(f"no sign change bracketing c_{d}")
+    return OptimalRadius(c_d=c, l_d=c * c - d, scv_at_opt=scv_normal(d, c))
 
 
 def chi_square_median_radius(d):

@@ -12,7 +12,6 @@ import textwrap
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
@@ -126,6 +125,21 @@ class TestLoadTable:
             fh.write("theta_1,other\n1.0,2.0\n")
         with pytest.raises(ParseError):
             load_table(path)
+
+    @pytest.mark.parametrize("name, data, line", [
+        ("draws.csv", b"theta_1,log_unnorm_posterior\n1.0,-1.0\n2.\xff0,-2.0\n", 3),
+        ("draws.csv", b"theta_1,log_unnorm\xff_posterior\n1.0,-1.0\n2.0,-2.0\n", 1),
+        ("draws.jsonl", b'{"theta_1": 1.0, "log_unnorm_posterior": -1.0}\n'
+                        b'{"theta_1": 2.\xff0, "log_unnorm_posterior": -2.0}\n', 2),
+    ], ids=["csv row", "csv header", "jsonl line"])
+    def test_invalid_utf8_is_parse_error(self, tmp_path, capsys, name, data, line):
+        path = str(tmp_path / name)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        code, out = run_cli(capsys, "estimate", path)
+        assert code == 3
+        assert json.loads(out) == {"error": "parse", "line": line,
+                                   "message": "invalid UTF-8 byte 0xff"}
 
 
 H2 = "theta_1,log_unnorm_posterior\n"
@@ -527,6 +541,79 @@ class TestMalformedFlagProperties:
                    numerical_ok=True)
 
 
+def draw_table_bytes(jsonl, t=30):
+    model = GaussianMeanModel(1.0, gaussian_dataset(2, seed=5))
+    draws = model.posterior_sample(t, 6)
+    lp, ll = model.log_prior(draws), model.log_likelihood(draws)
+    if jsonl:
+        return "".join(json.dumps({"theta_1": a, "theta_2": b, "log_prior": c,
+                                   "log_likelihood": e}) + "\n"
+                       for (a, b), c, e in zip(draws.tolist(), lp, ll)).encode()
+    return ("theta_1,theta_2,log_prior,log_likelihood\n" + "".join(
+        ",".join(format_float(v) for v in (*theta, c, e)) + "\n"
+        for theta, c, e in zip(draws, lp, ll))).encode()
+
+
+# one edit of a table: ("flip", position, byte), ("cut", position, _) or
+# ("insert", position, text)
+TABLE_EDITS = st.tuples(
+    st.just("flip"), st.floats(0.0, 1.0),
+    st.one_of(st.just(0xFF), st.integers(0, 255))) | st.tuples(
+    st.just("cut"), st.floats(0.0, 1.0), st.none()) | st.tuples(
+    st.just("insert"), st.floats(0.0, 1.0),
+    st.sampled_from([b",", b'"', b"\n", b"\r\n", b"\r", b"{", b"}", b":", b" ",
+                     b"\xff", b"\x00"]))
+
+
+def mangle(data, edits):
+    for kind, where, arg in edits:
+        pos = int(where * len(data))
+        if kind == "flip" and pos < len(data):
+            data = data[:pos] + bytes([arg]) + data[pos + 1:]
+        elif kind == "cut":
+            data = data[:pos]
+        elif kind == "insert":
+            data = data[:pos] + arg + data[pos:]
+    return data
+
+
+class TestMalformedTableProperties:
+    """Whatever bytes a draw table holds, estimate prints exactly one JSON
+    line and no traceback, and exits 0, 2 (usage: too few draws), 3
+    (parse, with the line number) or 4 (numerical). A file that is not
+    UTF-8 is always a parse error."""
+
+    @staticmethod
+    def check(path, data):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        code, out, err = run_captured(["estimate", path])
+        assert "Traceback" not in out + err
+        assert code in (0, 2, 3, 4)
+        lines = out.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert isinstance(report, dict)
+        if code == 3:
+            assert report["error"] == "parse" and isinstance(report["line"], int)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            assert code == 3
+
+    @given(st.lists(TABLE_EDITS, min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_csv(self, tmp_path_factory, edits):
+        path = str(tmp_path_factory.mktemp("tables") / "draws.csv")
+        self.check(path, mangle(draw_table_bytes(jsonl=False), edits))
+
+    @given(st.lists(TABLE_EDITS, min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_jsonl(self, tmp_path_factory, edits):
+        path = str(tmp_path_factory.mktemp("tables") / "draws.jsonl")
+        self.check(path, mangle(draw_table_bytes(jsonl=True), edits))
+
+
 class TestScvCommand:
     def test_table_contents(self, capsys):
         code, out = run_cli(capsys, "scv", "--dmax", "12")
@@ -562,18 +649,20 @@ class TestScvCommand:
             assert float(row["hpd_mass"]) == special.gammainc(0.5 * d, 0.5 * c_d ** 2)
 
     def test_optimal_root_find_runs_once_per_dimension(self, capsys, monkeypatch):
+        # every solve for c_d starts with one evaluation at sqrt(d + 1)
         calls = []
-        brentq = scipy.optimize.brentq
+        foc = radius._foc
 
-        def counting_brentq(*args, **kwargs):
-            calls.append(args)
-            return brentq(*args, **kwargs)
+        def counting_foc(d, c):
+            calls.append((d, c))
+            return foc(d, c)
 
-        monkeypatch.setattr(scipy.optimize, "brentq", counting_brentq)
+        monkeypatch.setattr(radius, "_foc", counting_foc)
         radius.optimal_radius.cache_clear()
         code, _ = run_cli(capsys, "scv", "--dmax", "5")
         assert code == 0
-        assert len(calls) == 5
+        starts = [d for d, c in calls if c == math.sqrt(d + 1.0)]
+        assert starts == [1, 2, 3, 4, 5]
 
     def test_error_mid_table_is_one_json_line(self, capsys):
         # the SCV at c = 40 overflows for every d; no partial table is printed
@@ -646,15 +735,16 @@ class TestStartupImports:
             runs = [
                 ["estimate", {path!r}],
                 ["estimate", {path!r}, "--radius", "grid:1.5,2,2.5", "--ar1"],
+                ["estimate", {path!r}, "--radius", "optimal"],
                 ["correct", {path!r}, "--support", "positive:0,1", "--n", "1000"],
                 ["replicate", "gaussian-T", "--out", {str(tmp_path)!r}],
                 ["replicate", "toy-figure7", "--out", {str(tmp_path)!r}],
+                ["replicate", "dirmult", "--reps", "1", "--out", {str(tmp_path)!r}],
             ]
             codes = [main(argv) for argv in runs]
             before = scipy_modules()
-            # the commands that need scipy import it when they run
-            codes += [main(["scv", "--dmax", "3"]),
-                      main(["estimate", {path!r}, "--radius", "optimal"])]
+            # scv needs the regularized gamma function, and imports it when it runs
+            codes.append(main(["scv", "--dmax", "3"]))
             with open({report!r}, "w") as fh:
                 json.dump({{"codes": codes, "before": before,
                            "after": scipy_modules()}}, fh)
@@ -665,6 +755,7 @@ class TestStartupImports:
                        stdout=subprocess.DEVNULL)
         with open(report) as fh:
             result = json.load(fh)
-        assert result["codes"] == [0] * 7
+        assert result["codes"] == [0] * 8
         assert result["before"] == []
         assert "scipy.special" in result["after"]
+        assert not [m for m in result["after"] if m.startswith("scipy.optimize")]

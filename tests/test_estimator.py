@@ -286,12 +286,13 @@ class TestRadiusTuning:
         import thames.estimator as est
 
         calls = []
+        kernel = est._mahalanobis_sq
 
-        def counting(theta, e):
-            calls.append(np.shape(theta))
-            return mahalanobis_sq(theta, e)
+        def counting(a, e):
+            calls.append(a.shape)
+            return kernel(a, e)
 
-        monkeypatch.setattr(est, "mahalanobis_sq", counting)
+        monkeypatch.setattr(est, "_mahalanobis_sq", counting)
         _, draws, log_post = toy_problem(t=1000)
         grid = RadiusPolicy.empirical_grid(tuple(np.linspace(0.5, 3.0, 20)))
         for opts in (ThamesOptions(radius_policy=grid),
@@ -304,6 +305,36 @@ class TestRadiusTuning:
         calls.clear()
         tune_radius_grid(draws, log_post, grid.grid)
         assert calls == [(500, 2)]
+
+    def test_draws_validated_once_per_call(self, monkeypatch):
+        import thames.estimator as est
+        import thames.geometry as geo
+
+        calls = []
+        check = geo.as_draw_matrix
+
+        def counting(draws, min_rows=1):
+            calls.append(np.shape(draws))
+            return check(draws, min_rows)
+
+        monkeypatch.setattr(geo, "as_draw_matrix", counting)
+        monkeypatch.setattr(est, "as_draw_matrix", counting)
+        model, draws, log_post = toy_problem(t=1000)
+        m_n, s_n = model.posterior_params()
+        oracle = Ellipsoid(m_n, math.sqrt(s_n) * np.eye(2), math.sqrt(3.0))
+        grid = RadiusPolicy.empirical_grid((1.0, 2.0))
+        for opts, ellipsoid in ((ThamesOptions(), None),
+                                (ThamesOptions(radius_policy=grid), None),
+                                (ThamesOptions(split=False), oracle)):
+            calls.clear()
+            thames(draws, log_post, opts, ellipsoid=ellipsoid)
+            assert calls == [(1000, 2)]
+
+    def test_explicit_ellipsoid_dimension_is_checked(self):
+        _, draws, log_post = toy_problem(t=200)
+        wrong = Ellipsoid(np.zeros(3), np.eye(3), 2.0)
+        with pytest.raises(InvalidInput, match="dimension"):
+            thames(draws, log_post, ThamesOptions(split=False), ellipsoid=wrong)
 
     def test_unusable_radii_marked_nan(self):
         _, draws, log_post = toy_problem(t=500)

@@ -188,6 +188,29 @@ class TestDirMultModel:
         assert np.all(model.log_prior(bad) == -np.inf)
         assert np.all(model.log_post(bad) == -np.inf)
 
+    @pytest.mark.parametrize("k", [2, 4, 51])
+    def test_log_post_is_prior_plus_likelihood_bit_for_bit(self, k):
+        model = self._model(k=k, n=40, l=150)
+        inside = model.posterior_sample(500, seed=4)
+        outside = inside.copy()
+        outside[::3, 0] = -outside[::3, 0]  # a negative coordinate
+        outside[1::3, 0] = 1.5  # the last coordinate goes negative
+        outside[2::3, 0] = 0.0  # on the boundary
+        for draws in (inside, outside, np.vstack([inside, outside])):
+            expected = model.log_prior(draws) + model.log_likelihood(draws)
+            assert np.array_equal(model.log_post(draws), expected)
+        assert np.all(model.log_post(outside) == -np.inf)
+
+    def test_densities_match_scipy(self):
+        model = self._model(k=6, n=25, l=40, a0=1.5)
+        draws = model.posterior_sample(50, seed=5)
+        full = np.column_stack([draws, 1.0 - draws.sum(axis=1)])
+        prior = stats.dirichlet.logpdf(full.T, np.full(model.k, model.a0))
+        lik = [np.sum(stats.multinomial.logpmf(model.data, model.l, p))
+               for p in full]
+        assert model.log_prior(draws) == pytest.approx(prior, rel=1e-12)
+        assert model.log_likelihood(draws) == pytest.approx(lik, rel=1e-12)
+
     def test_posterior_sample_moments(self):
         model = self._model(k=5, n=50, l=20)
         alpha = model.posterior_alpha()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
 from thames import radius
 from thames.cli import main
@@ -176,9 +176,8 @@ class TestOptimalRadius:
         l_values = [optimal_radius(d).l_d for d in (10, 50, 100, 200)]
         assert abs(l_values[-1] - 1.0) < abs(l_values[0] - 1.0)
 
-    # brentq's evaluations, each bracket end once, plus scv_normal at the root
-    @pytest.mark.parametrize("d, total", [(1, 9), (50, 6), (200, 6)])
-    def test_bracket_ends_evaluated_once(self, d, total, monkeypatch):
+    @staticmethod
+    def count_log_f(monkeypatch):
         calls = []
         real = radius.log_f
 
@@ -187,15 +186,39 @@ class TestOptimalRadius:
             return real(dim, c)
 
         monkeypatch.setattr(radius, "log_f", counting)
+        return calls
+
+    # Newton steps from sqrt(d + 1), one log_f each, plus scv_normal at the
+    # root; the bracket ends are never evaluated
+    @pytest.mark.parametrize("d, total", [(1, 5), (50, 4), (200, 3)])
+    def test_log_f_calls_per_solve(self, d, total, monkeypatch):
+        calls = self.count_log_f(monkeypatch)
         radius.optimal_radius.__wrapped__(d)  # bypass the cache
-        assert calls.count(math.sqrt(d)) == 1
-        assert calls.count(math.sqrt(d + 4.0)) == 1
+        assert calls[0] == math.sqrt(d + 1.0)
+        assert math.sqrt(d) not in calls and math.sqrt(d + 4.0) not in calls
         assert len(calls) == total
 
+    def test_fewer_log_f_calls_than_brentq(self, monkeypatch):
+        # brentq with the bracket ends evaluated once took 1 287 calls
+        calls = self.count_log_f(monkeypatch)
+        for d in range(1, 201):
+            radius.optimal_radius.__wrapped__(d)
+        assert len(calls) <= 1287
+
+    @pytest.mark.parametrize("dims", [range(1, 201), (500, 1000, 2000)],
+                             ids=["1-200", "500-2000"])
+    def test_matches_brentq(self, dims):
+        for d in dims:
+            root = optimize.brentq(lambda c: radius._foc(d, c), math.sqrt(d),
+                                   math.sqrt(d + 4.0), xtol=1e-15, rtol=1e-15)
+            assert optimal_radius(d).c_d == pytest.approx(root, rel=1e-12, abs=0)
+
     def test_no_sign_change_is_numerical_failure(self, monkeypatch):
-        monkeypatch.setattr(radius, "_foc", lambda d, c: 1.0)
-        with pytest.raises(NumericalFailure, match="no sign change bracketing c_3"):
-            radius.optimal_radius.__wrapped__(3)
+        for value in (1.0, -1.0, math.nan):
+            monkeypatch.setattr(radius, "_foc", lambda d, c: value)
+            with pytest.raises(NumericalFailure,
+                               match="no sign change bracketing c_3"):
+                radius.optimal_radius.__wrapped__(3)
 
 
 class TestChiSquareMedianRadius:
