@@ -1,27 +1,26 @@
-"""Command-line front end.
+"""Command-line front end: flag parsing and I/O around the library.
 
 Subcommands: ``estimate`` (run the truncated harmonic mean estimator on
 a table of posterior draws), ``correct`` (estimate plus constrained-
 support volume-ratio adjustment), ``scv`` (tabulate the normal-posterior
 squared coefficient of variation and optimal radii), and ``replicate``
-(run the built-in conjugate-model experiments and write their raw
-numbers as CSV).
+(run one of the built-in conjugate-model experiments of
+``thames.experiments`` and write its rows as CSV).
 
 All density columns are NATURAL log. There is deliberately no
 ``--log-base`` flag: silently mixing log10 and ln is the classic failure
 mode, so any base conversion must happen before the file reaches this
 tool.
 
-Exit codes: 0 success, 2 usage error, 3 parse error, 4 numerical error
-(empty truncation set, non-positive-definite covariance, zero support
-overlap, zero-density draw inside the ellipsoid). Errors print a single
-JSON object to stdout.
+Exit codes: 0 success, 1 environment error (a module the command needs,
+such as scipy for ``scv``, cannot be imported), 2 usage error, 3 parse
+error, 4 numerical error (empty truncation set, non-positive-definite
+covariance, zero support overlap, zero-density draw inside the
+ellipsoid). Errors print a single JSON object to stdout.
 
 Output is deterministic: the same input file, flags, and seed produce
-byte-identical output. Replication experiments fan out across at most
-THAMES_THREADS worker threads (default 1); per-replication seeds come
-from seeds.spawn_seed, and output order is by replication index
-regardless of completion order.
+byte-identical output, whatever THAMES_THREADS (the worker threads of
+``replicate``, default 1) is set to.
 
 Start-up cost: no module of the package imports scipy when it is
 imported, and only two code paths import it when they run: ``scv``
@@ -43,24 +42,16 @@ import warnings
 
 import numpy as np
 
+from . import experiments
 from .correction import (
     ConstrainedCorrectionConfig,
     SupportPredicate,
     _check_sample_count,
 )
 from .errors import InvalidInput, NumericalError, ParseError, ZeroSupportOverlap
-from .estimator import ThamesOptions, _check_level, harmonic_mean_log_z, thames
-from .geometry import Ellipsoid
-from .models import (
-    DirMultModel,
-    GaussianMeanModel,
-    dirmult_dataset,
-    dirmult_mu,
-    gaussian_dataset,
-    prostate_models,
-)
+from .estimator import ThamesOptions, _check_level, thames
 from .radius import RadiusPolicy, optimal_radius, resolve_radius, scv_bounds, scv_normal
-from .seeds import _check_seed, spawn_seed
+from .seeds import _check_seed
 
 # ---------------------------------------------------------------------------
 # Serialization helpers
@@ -146,16 +137,21 @@ def _parse_value(token, column, line_no, is_theta):
 
 
 def _csv_records(reader):
-    """The records of a csv.reader, with csv.Error (such as a field over
-    csv's field size limit) raised as ParseError at the line reached."""
+    """(physical line it ends on, record) for each record of a csv.reader,
+    with csv.Error raised as ParseError at the line reached."""
     while True:
+        # np.loadtxt has no field size limit, so csv's process-wide one is
+        # lifted to the largest C long while a record is read
+        limit = csv.field_size_limit(2**31 - 1)
         try:
             row = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
             raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
-        yield row
+        finally:
+            csv.field_size_limit(limit)
+        yield reader.line_num, row
 
 
 # under errors="surrogateescape" a byte that is not UTF-8 decodes to a
@@ -177,11 +173,11 @@ def _utf8_lines(fh):
 def _rows_from_csv(path):
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         records = _csv_records(csv.reader(_utf8_lines(fh)))
-        header = next(records, None)
-        if header is None:
+        first = next(records, None)
+        if first is None:
             raise ParseError("empty file", line=1)
-        names = [h.strip() for h in header]
-        for line_no, row in enumerate(records, start=2):
+        names = [h.strip() for h in first[1]]
+        for line_no, row in records:
             if not row:
                 continue
             if len(row) != len(names):
@@ -462,16 +458,6 @@ def cmd_scv(args, stdout):
 # ---------------------------------------------------------------------------
 
 
-def _run_indexed(tasks, threads):
-    """Evaluate index-keyed closures, preserving index order in the output."""
-    if threads <= 1:
-        return [task() for task in tasks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda task: task(), tasks))
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -482,177 +468,11 @@ def _write_csv(path, header, rows):
                              format_float(v) for v in row])
 
 
-GAUSSIAN_T_GRID = tuple([5] + list(range(1005, 9006, 1000)))
-
-
-def replicate_gaussian_t(seed, reps, out_dir):
-    """One-dimensional conjugate Gaussian runs over a grid of sample sizes."""
-    data = gaussian_dataset(d=1, n=20, mu=2.0, seed=spawn_seed(seed, 0))
-    model = GaussianMeanModel(s0=1.0, data=data)
-    exact = model.exact_log_marginal()
-    opts = ThamesOptions()
-
-    def task(i, t):
-        def run():
-            draws = model.posterior_sample(t, spawn_seed(seed, 1 + i))
-            try:
-                res = thames(draws, model.log_post(draws), opts)
-            except NumericalError:
-                # tiny T can leave the fitted ellipsoid empty; record the
-                # failed run instead of aborting the grid
-                return (t, math.nan, exact, math.nan, math.nan, math.nan,
-                        "false")
-            covered = res.ci_log_z[0] <= exact <= res.ci_log_z[1]
-            return (t, res.log_z, exact, res.log_z - exact,
-                    res.ci_log_z[0], res.ci_log_z[1], str(bool(covered)).lower())
-        return run
-
-    rows = _run_indexed([task(i, t) for i, t in enumerate(GAUSSIAN_T_GRID)],
-                        worker_count())
-    _write_csv(os.path.join(out_dir, "gaussian_T.csv"),
-               ["T", "log_z", "exact_log_z", "error", "ci_lower", "ci_upper",
-                "covered"], rows)
-
-
-GAUSSIAN_D_GRID = (1, 5, 10, 25, 50)
-GAUSSIAN_D_VARIANTS = ("no-split", "split", "oracle")
-
-
-def replicate_gaussian_d(seed, reps, out_dir, t=10000):
-    """Split / no-split / oracle-moment comparison across dimensions."""
-    opts_split = ThamesOptions(split=True)
-    opts_nosplit = ThamesOptions(split=False)
-
-    def task(index, d, rep):
-        def run():
-            data_seed = spawn_seed(seed, 2 * index)
-            draw_seed = spawn_seed(seed, 2 * index + 1)
-            model = GaussianMeanModel(s0=1.0, data=gaussian_dataset(d, seed=data_seed))
-            exact = model.exact_log_marginal()
-            draws = model.posterior_sample(t, draw_seed)
-            log_post = model.log_post(draws)
-            m_n, s_n = model.posterior_params()
-            oracle = Ellipsoid(m_n, math.sqrt(s_n) * np.eye(d), math.sqrt(d + 1.0))
-            out = []
-            for variant, res in (
-                ("no-split", thames(draws, log_post, opts_nosplit)),
-                ("split", thames(draws, log_post, opts_split)),
-                ("oracle", thames(draws, log_post, opts_nosplit, ellipsoid=oracle)),
-            ):
-                out.append((variant, d, rep, res.log_z, exact, res.log_z - exact))
-            return out
-        return run
-
-    tasks, index = [], 0
-    for d in GAUSSIAN_D_GRID:
-        for rep in range(reps):
-            tasks.append(task(index, d, rep))
-            index += 1
-    rows = [row for chunk in _run_indexed(tasks, worker_count()) for row in chunk]
-    _write_csv(os.path.join(out_dir, "gaussian_d.csv"),
-               ["variant", "d", "rep", "log_z", "exact_log_z", "error"], rows)
-
-
-DIRMULT_D_GRID = (1, 20, 50)
-
-
-def replicate_dirmult(seed, reps, out_dir, n=400, l=150, t=10000, a0=1.0):
-    """Count-model runs: fixed true frequencies versus frequencies drawn
-    from the prior, the latter with the simplex volume-ratio adjustment."""
-    from .correction import ConstrainedCorrectionConfig
-
-    # one true frequency vector per (regime, d), shared by all datasets:
-    # uniform when fixed, a single prior draw when stochastic
-    def true_mu(regime, d):
-        k = d + 1
-        if regime == "fixed":
-            return np.full(k, 1.0 / k)
-        return dirmult_mu(k, a0, spawn_seed(seed, 100_000 + d))
-
-    def task(index, regime, d, rep, mu):
-        def run():
-            data_seed = spawn_seed(seed, 3 * index + 1)
-            draw_seed = spawn_seed(seed, 3 * index + 2)
-            model = DirMultModel(a0=a0, l=l, data=dirmult_dataset(mu, n, l, data_seed))
-            exact = model.exact_log_marginal()
-            draws = model.posterior_sample(t, draw_seed)
-            log_post = model.log_post(draws)
-            plain = thames(draws, log_post, ThamesOptions())
-            corr_cfg = ConstrainedCorrectionConfig(
-                support=model.support(), n_samples=1000,
-                seed=spawn_seed(seed, 3 * index + 2) ^ 1)
-            adjusted = thames(draws, log_post,
-                              ThamesOptions(correction=corr_cfg))
-            shift = adjusted.log_z - plain.log_z
-            return (regime, d, rep, plain.log_z, adjusted.log_z, exact,
-                    plain.log_z - exact, shift, plain.se_recip_rel)
-        return run
-
-    tasks, index = [], 0
-    for regime in ("fixed", "stochastic"):
-        for d in DIRMULT_D_GRID:
-            mu = true_mu(regime, d)
-            for rep in range(reps):
-                tasks.append(task(index, regime, d, rep, mu))
-                index += 1
-    rows = _run_indexed(tasks, worker_count())
-    _write_csv(os.path.join(out_dir, "dirmult.csv"),
-               ["regime", "d", "rep", "log_z", "log_z_corrected", "exact_log_z",
-                "error", "correction_shift", "se_recip_rel"], rows)
-
-
-def replicate_prostate(seed, reps, out_dir, t=10000, sigma2=1.0):
-    """Nested-regression comparison on the bundled prostate table."""
-    models = prostate_models(sigma2=sigma2, alpha=0.5)
-    opts = ThamesOptions(split=False)
-
-    def task(i, k, model):
-        def run():
-            draws = model.posterior_sample(t, spawn_seed(seed, i))
-            res = thames(draws, model.log_post(draws), opts)
-            return (f"M{k}", k, model.exact_log_marginal(), res.log_z,
-                    res.ci_log_z[0], res.ci_log_z[1])
-        return run
-
-    rows = _run_indexed(
-        [task(i, k, model) for i, (k, model) in enumerate(sorted(models.items()))],
-        worker_count())
-    _write_csv(os.path.join(out_dir, "prostate.csv"),
-               ["model", "k", "exact_log_z", "thames_log_z", "ci_lower",
-                "ci_upper"], rows)
-
-
-def replicate_toy(seed, reps, out_dir, t=2000, stride=50):
-    """Running-estimate traces on the two-dimensional all-zeros dataset,
-    contrasting the truncated estimator with the plain harmonic mean."""
-    d = 2
-    model = GaussianMeanModel(s0=1.0, data=np.zeros((20, d)))
-    exact = model.exact_log_marginal()
-    draws = model.posterior_sample(t, spawn_seed(seed, 0))
-    log_post = model.log_post(draws)
-    log_lik = model.log_likelihood(draws)
-    opts = ThamesOptions(split=False,
-                         radius_policy=RadiusPolicy.fixed(math.sqrt(d + 1.0)))
-    rows = []
-    for upto in range(stride, t + 1, stride):
-        res = thames(draws[:upto], log_post[:upto], opts)
-        rows.append((upto, res.log_z, harmonic_mean_log_z(log_lik[:upto]), exact))
-    _write_csv(os.path.join(out_dir, "toy_running.csv"),
-               ["T", "thames_log_z", "harmonic_log_z", "exact_log_z"], rows)
-
-
-REPLICATE_EXPERIMENTS = {
-    "gaussian-T": replicate_gaussian_t,
-    "gaussian-d": replicate_gaussian_d,
-    "dirmult": replicate_dirmult,
-    "prostate": replicate_prostate,
-    "toy-figure7": replicate_toy,
-}
-
-
 def cmd_replicate(args, stdout):
+    _, name, header = experiments.EXPERIMENTS[args.experiment]
     os.makedirs(args.out, exist_ok=True)
-    REPLICATE_EXPERIMENTS[args.experiment](args.seed, args.reps, args.out)
+    rows = experiments.run(args.experiment, args.seed, args.reps, worker_count())
+    _write_csv(os.path.join(args.out, name), header, rows)
     return 0
 
 
@@ -723,7 +543,7 @@ def build_parser():
     p_scv.set_defaults(func=cmd_scv)
 
     p_rep = sub.add_parser("replicate", help="run a built-in experiment")
-    p_rep.add_argument("experiment", choices=sorted(REPLICATE_EXPERIMENTS))
+    p_rep.add_argument("experiment", choices=sorted(experiments.EXPERIMENTS))
     p_rep.add_argument("--out", required=True)
     p_rep.add_argument("--seed", type=int, default=0)
     p_rep.add_argument("--reps", type=int, default=50,
@@ -757,6 +577,9 @@ def main(argv=None):
     except (InvalidInput, OSError, ValueError) as exc:
         emit_error("usage", str(exc), stdout)
         return 2
+    except ImportError as exc:  # a broken install, such as scipy missing
+        emit_error("environment", str(exc), stdout, module=exc.name)
+        return 1
 
 
 if __name__ == "__main__":

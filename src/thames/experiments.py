@@ -1,0 +1,176 @@
+"""The built-in replication experiments behind ``thames replicate``.
+
+Each experiment is a task builder ``(seed, reps) -> [task]``; a task
+takes no arguments and returns its own CSV rows. ``EXPERIMENTS`` lists
+each builder with its CSV name and header, and ``run`` returns the rows
+in memory, in task order. Every task draws from its own spawn_seed
+streams, so the rows do not depend on the number of threads.
+
+The estimator and the models are called through their modules, so a
+wrapper set on a module attribute, such as a tracing span, sees every call.
+"""
+
+import functools
+import math
+
+import numpy as np
+
+from . import estimator, models
+from .correction import ConstrainedCorrectionConfig
+from .errors import NumericalError
+from .geometry import Ellipsoid
+from .seeds import spawn_seed
+
+GAUSSIAN_T_GRID = tuple([5] + list(range(1005, 9006, 1000)))
+
+
+def gaussian_t(seed, reps):
+    """One-dimensional conjugate Gaussian runs over a grid of sample sizes."""
+    data = models.gaussian_dataset(d=1, n=20, mu=2.0, seed=spawn_seed(seed, 0))
+    model = models.GaussianMeanModel(s0=1.0, data=data)
+    exact = model.exact_log_marginal()
+    opts = estimator.ThamesOptions()
+
+    def task(i, t):
+        draws = model.posterior_sample(t, spawn_seed(seed, 1 + i))
+        try:
+            res = estimator.thames(draws, model.log_post(draws), opts)
+        except NumericalError:
+            # tiny T can leave the fitted ellipsoid empty; record the
+            # failed run instead of aborting the grid
+            return [(t, math.nan, exact, math.nan, math.nan, math.nan, "false")]
+        covered = res.ci_log_z[0] <= exact <= res.ci_log_z[1]
+        return [(t, res.log_z, exact, res.log_z - exact,
+                 res.ci_log_z[0], res.ci_log_z[1], str(bool(covered)).lower())]
+
+    return [functools.partial(task, i, t) for i, t in enumerate(GAUSSIAN_T_GRID)]
+
+
+GAUSSIAN_D_GRID = (1, 5, 10, 25, 50)
+
+
+def gaussian_d(seed, reps, t=10000):
+    """Split / no-split / oracle-moment comparison across dimensions."""
+    opts_split = estimator.ThamesOptions(split=True)
+    opts_nosplit = estimator.ThamesOptions(split=False)
+
+    def task(index, d, rep):
+        data_seed = spawn_seed(seed, 2 * index)
+        draw_seed = spawn_seed(seed, 2 * index + 1)
+        model = models.GaussianMeanModel(
+            s0=1.0, data=models.gaussian_dataset(d, seed=data_seed))
+        exact = model.exact_log_marginal()
+        draws = model.posterior_sample(t, draw_seed)
+        log_post = model.log_post(draws)
+        m_n, s_n = model.posterior_params()
+        oracle = Ellipsoid(m_n, math.sqrt(s_n) * np.eye(d), math.sqrt(d + 1.0))
+        fits = (("no-split", estimator.thames(draws, log_post, opts_nosplit)),
+                ("split", estimator.thames(draws, log_post, opts_split)),
+                ("oracle", estimator.thames(draws, log_post, opts_nosplit,
+                                            ellipsoid=oracle)))
+        return [(variant, d, rep, res.log_z, exact, res.log_z - exact)
+                for variant, res in fits]
+
+    settings = [(d, rep) for d in GAUSSIAN_D_GRID for rep in range(reps)]
+    return [functools.partial(task, index, d, rep)
+            for index, (d, rep) in enumerate(settings)]
+
+
+DIRMULT_D_GRID = (1, 20, 50)
+
+
+def dirmult(seed, reps, n=400, l=150, t=10000, a0=1.0):
+    """Count-model runs: fixed true frequencies versus frequencies drawn
+    from the prior, the latter with the simplex volume-ratio adjustment."""
+
+    def task(index, regime, d, rep, mu):
+        data_seed = spawn_seed(seed, 3 * index + 1)
+        draw_seed = spawn_seed(seed, 3 * index + 2)
+        model = models.DirMultModel(
+            a0=a0, l=l, data=models.dirmult_dataset(mu, n, l, data_seed))
+        exact = model.exact_log_marginal()
+        draws = model.posterior_sample(t, draw_seed)
+        log_post = model.log_post(draws)
+        plain = estimator.thames(draws, log_post, estimator.ThamesOptions())
+        corr_cfg = ConstrainedCorrectionConfig(
+            support=model.support(), n_samples=1000, seed=draw_seed ^ 1)
+        adjusted = estimator.thames(draws, log_post,
+                                    estimator.ThamesOptions(correction=corr_cfg))
+        return [(regime, d, rep, plain.log_z, adjusted.log_z, exact,
+                 plain.log_z - exact, adjusted.log_z - plain.log_z,
+                 plain.se_recip_rel)]
+
+    tasks = []
+    for regime in ("fixed", "stochastic"):
+        for d in DIRMULT_D_GRID:
+            # one true frequency vector per (regime, d), shared by all
+            # datasets: uniform when fixed, a single prior draw when stochastic
+            mu = (np.full(d + 1, 1.0 / (d + 1)) if regime == "fixed" else
+                  models.dirmult_mu(d + 1, a0, spawn_seed(seed, 100_000 + d)))
+            for rep in range(reps):
+                tasks.append(functools.partial(task, len(tasks), regime, d, rep, mu))
+    return tasks
+
+
+def prostate(seed, reps, t=10000, sigma2=1.0):
+    """Nested-regression comparison on the bundled prostate table."""
+    opts = estimator.ThamesOptions(split=False)
+
+    def task(i, k, model):
+        draws = model.posterior_sample(t, spawn_seed(seed, i))
+        res = estimator.thames(draws, model.log_post(draws), opts)
+        return [(f"M{k}", k, model.exact_log_marginal(), res.log_z,
+                 res.ci_log_z[0], res.ci_log_z[1])]
+
+    nested = sorted(models.prostate_models(sigma2=sigma2, alpha=0.5).items())
+    return [functools.partial(task, i, k, model)
+            for i, (k, model) in enumerate(nested)]
+
+
+def toy(seed, reps, t=2000, stride=50):
+    """Running-estimate traces on the two-dimensional all-zeros dataset,
+    contrasting the truncated estimator with the plain harmonic mean."""
+    model = models.GaussianMeanModel(s0=1.0, data=np.zeros((20, 2)))
+    exact = model.exact_log_marginal()
+    draws = model.posterior_sample(t, spawn_seed(seed, 0))
+    log_post = model.log_post(draws)
+    log_lik = model.log_likelihood(draws)
+    opts = estimator.ThamesOptions(split=False)  # radius sqrt(d + 1), d = 2
+
+    def task(upto):
+        res = estimator.thames(draws[:upto], log_post[:upto], opts)
+        return [(upto, res.log_z, estimator.harmonic_mean_log_z(log_lik[:upto]),
+                 exact)]
+
+    return [functools.partial(task, upto) for upto in range(stride, t + 1, stride)]
+
+
+EXPERIMENTS = {
+    "gaussian-T": (gaussian_t, "gaussian_T.csv",
+                   ["T", "log_z", "exact_log_z", "error", "ci_lower", "ci_upper",
+                    "covered"]),
+    "gaussian-d": (gaussian_d, "gaussian_d.csv",
+                   ["variant", "d", "rep", "log_z", "exact_log_z", "error"]),
+    "dirmult": (dirmult, "dirmult.csv",
+                ["regime", "d", "rep", "log_z", "log_z_corrected", "exact_log_z",
+                 "error", "correction_shift", "se_recip_rel"]),
+    "prostate": (prostate, "prostate.csv",
+                 ["model", "k", "exact_log_z", "thames_log_z", "ci_lower",
+                  "ci_upper"]),
+    "toy-figure7": (toy, "toy_running.csv",
+                    ["T", "thames_log_z", "harmonic_log_z", "exact_log_z"]),
+}
+
+
+def run(name, seed, reps, threads):
+    """The rows of experiment name, in task order, with its tasks spread
+    over at most threads worker threads (1: run them in this thread)."""
+    tasks = EXPERIMENTS[name][0](seed, reps)
+    if threads <= 1:
+        chunks = [task() for task in tasks]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(lambda task: task(), tasks))
+    return [row for chunk in chunks for row in chunk]

@@ -29,6 +29,7 @@ from thames.cli import (
 from thames.correction import ConstrainedCorrectionConfig, SupportPredicate
 from thames.errors import ParseError
 from thames.estimator import ThamesOptions, thames
+from thames.experiments import EXPERIMENTS
 from thames.models import GaussianMeanModel, gaussian_dataset
 from thames.seeds import spawn_seed, splitmix64
 
@@ -104,13 +105,17 @@ class TestLoadTable:
         _, log_post = load_table(path)
         assert log_post[1] == -math.inf
 
-    def test_parse_error_names_line(self, tmp_path):
+    @pytest.mark.parametrize("text, line", [
+        ("theta_1,log_unnorm_posterior\n1.0,-1.0\nzzz,-2.0\n", 3),
+        ('theta_1,note,log_unnorm_posterior\n1,"a\nb",2\nzzz,c,4\n', 4),
+    ], ids=["one line per record", "after a quoted newline"])
+    def test_parse_error_names_line(self, tmp_path, text, line):
         path = str(tmp_path / "draws.csv")
-        with open(path, "w") as fh:
-            fh.write("theta_1,log_unnorm_posterior\n1.0,-1.0\nzzz,-2.0\n")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
         with pytest.raises(ParseError) as exc_info:
             load_table(path)
-        assert exc_info.value.line == 3
+        assert exc_info.value.line == line
 
     def test_rejects_nonfinite_theta(self, tmp_path):
         path = str(tmp_path / "draws.csv")
@@ -178,7 +183,11 @@ INGEST_CASES = [
     ("no density columns", "theta_1,other\n1.0,2.0\n", False),
     ("header only", H2, False),
     ("empty file", "", False),
-    # csv.reader stops at fields over 131 072 characters; loadtxt does not
+    # csv.reader's default limit is 131 072 characters a field; loadtxt
+    # has none, and the row parser lifts csv's while it reads
+    ("200 000-character field in an unused column",
+     "theta_1,note,log_unnorm_posterior\n1," + "x" * 200_000 + ",2\n3,c,4\n",
+     True),
     ("200 000-character field in an unused column, then a bad value",
      "theta_1,note,log_unnorm_posterior\n1," + "x" * 200_000 + ",2\nzzz,c,4\n",
      False),
@@ -700,13 +709,17 @@ class TestReplicateCommand:
         exact = float(final["exact_log_z"])
         assert abs(float(final["thames_log_z"]) - exact) < 0.2
 
-    def test_thread_fanout_matches_serial(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_thread_fanout_matches_serial(self, tmp_path, capsys, monkeypatch,
+                                          experiment):
         out_serial, out_threaded = tmp_path / "s", tmp_path / "t"
-        run_cli(capsys, "replicate", "gaussian-T", "--out", str(out_serial))
+        argv = ["replicate", experiment, "--reps", "2"]
+        monkeypatch.delenv("THAMES_THREADS", raising=False)
+        assert run_cli(capsys, *argv, "--out", str(out_serial))[0] == 0
         monkeypatch.setenv("THAMES_THREADS", "4")
-        run_cli(capsys, "replicate", "gaussian-T", "--out", str(out_threaded))
-        assert (out_serial / "gaussian_T.csv").read_bytes() == \
-            (out_threaded / "gaussian_T.csv").read_bytes()
+        assert run_cli(capsys, *argv, "--out", str(out_threaded))[0] == 0
+        name = EXPERIMENTS[experiment][1]
+        assert (out_serial / name).read_bytes() == (out_threaded / name).read_bytes()
 
     def test_prostate_ranking(self, tmp_path, capsys):
         code, _ = run_cli(capsys, "replicate", "prostate", "--out", str(tmp_path))
@@ -759,3 +772,24 @@ class TestStartupImports:
         assert result["before"] == []
         assert "scipy.special" in result["after"]
         assert not [m for m in result["after"] if m.startswith("scipy.optimize")]
+
+    @pytest.mark.parametrize("argv", [
+        ["scv", "--dmax", "2"],
+        ["estimate", "{path}", "--radius", "chisq_median"],
+    ], ids=["scv", "estimate chisq_median"])
+    def test_missing_scipy_is_environment_error(self, tmp_path, argv):
+        path = str(tmp_path / "draws.csv")
+        write_draw_csv(path, t=1000)
+        argv = [a.format(path=path) for a in argv]
+        script = ('import sys; sys.modules["scipy"] = None; '
+                  f"from thames.cli import main; sys.exit(main({argv!r}))")
+        src = os.path.dirname(os.path.dirname(radius.__file__))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        lines = run.stdout.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "environment"
+        assert error["module"].split(".")[0] == "scipy"
