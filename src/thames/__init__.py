@@ -3,7 +3,6 @@
 from .correction import (
     ConstrainedCorrectionConfig,
     SupportPredicate,
-    apply_correction,
     estimate_volume_ratio,
     sample_uniform_ellipsoid,
 )
@@ -27,7 +26,6 @@ from .estimator import (
     empirical_scv,
     harmonic_mean_log_z,
     thames,
-    tune_radius_grid,
     variance_recip_iid,
 )
 from .geometry import (

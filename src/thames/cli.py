@@ -458,6 +458,11 @@ def cmd_scv(args, stdout):
 # ---------------------------------------------------------------------------
 
 
+def _check_reps(reps):
+    if reps < 1:
+        raise InvalidInput(f"replication count must be >= 1, got {reps}")
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -545,8 +550,10 @@ def build_parser():
     p_rep = sub.add_parser("replicate", help="run a built-in experiment")
     p_rep.add_argument("experiment", choices=sorted(experiments.EXPERIMENTS))
     p_rep.add_argument("--out", required=True)
-    p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--reps", type=int, default=50,
+    p_rep.add_argument("--seed", type=_checked(int, _check_seed), default=0,
+                       help="experiment seed, in [0, 2**64)")
+    p_rep.add_argument("--reps", type=_checked(int, _check_reps),
+                       default=50,
                        help="replications per setting; gaussian-d and dirmult only")
     p_rep.set_defaults(func=cmd_replicate)
     return parser

@@ -1,16 +1,16 @@
 """Constrained-support adjustment.
 
-When the truncation ellipsoid sticks out of the posterior support, the
-reciprocal estimate is inflated by the volume ratio
-R = V(A intersect support) / V(A). R is estimated by uniform Monte Carlo
-sampling inside the ellipsoid and divided back out.
+When the truncation ellipsoid A sticks out of the posterior support S,
+the estimator sums over A intersect S, whose volume is V(A) times the
+volume ratio R = V(A intersect S) / V(A). R is estimated by uniform
+Monte Carlo sampling inside the ellipsoid.
 
 Sampling uses the counter-based Philox generator, so a 64-bit seed fully
 determines the draw; parallel replications should derive per-replication
 seeds with seeds.spawn_seed.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,8 @@ class SupportPredicate:
     kind is one of "unbounded", "positive_orthant", "box", "simplex",
     "callback". Simplex membership means the selected coordinates are
     strictly positive and sum to less than 1 (the last, dropped simplex
-    coordinate holds the remainder).
+    coordinate holds the remainder). A callback's func takes an n x d
+    array and returns n booleans.
     """
 
     kind: str
@@ -86,8 +87,11 @@ class SupportPredicate:
             sub = pts[:, idx]
             return np.all(sub > 0.0, axis=1) & (sub.sum(axis=1) < 1.0)
         if self.kind == "callback":
-            return np.fromiter((bool(self.func(p)) for p in pts), dtype=bool,
-                               count=n)
+            hits = np.asarray(self.func(pts))
+            if hits.shape != (n,):
+                raise InvalidInput(f"support callback returned shape {hits.shape} "
+                                   f"for {n} points; expected ({n},)")
+            return hits.astype(bool)
         raise InvalidInput(f"unknown support kind {self.kind!r}")
 
     def _check_indices(self, d):
@@ -173,17 +177,3 @@ def estimate_volume_ratio(e: Ellipsoid, support: SupportPredicate, n, seed,
             "the support specification", ci=ci)
     return r_hat, ci
 
-
-def apply_correction(result, r_hat):
-    """Divide the reciprocal estimate by the volume ratio."""
-    if not 0.0 < r_hat <= 1.0:
-        raise ZeroSupportOverlap(f"volume ratio must be in (0, 1], got {r_hat}")
-    log_r = float(np.log(r_hat))
-    lower, upper = result.ci_log_z
-    return replace(
-        result,
-        log_recip_z=result.log_recip_z - log_r,
-        log_z=result.log_z + log_r,
-        ci_log_z=(lower + log_r, upper + log_r),
-        correction_ratio=float(r_hat),
-    )

@@ -346,12 +346,23 @@ class TestEstimateCommand:
         ["scv", "--policies", "optimal", "grid:1,2"],
         ["scv", "--dmax", "-3"],
         ["scv", "--dmax", "0"],
+        ["replicate", "gaussian-T", "--out", "unused", "--seed", "-1"],
+        ["replicate", "gaussian-T", "--out", "unused",
+         "--seed", "18446744073709551616"],
+        ["replicate", "gaussian-d", "--out", "unused", "--reps", "0"],
+        ["replicate", "gaussian-d", "--out", "unused", "--reps", "-1"],
     ])
-    def test_usage_error_is_one_json_line(self, capsys, argv):
+    def test_usage_error_is_one_json_line(self, capsys, tmp_path, monkeypatch,
+                                          argv):
+        monkeypatch.chdir(tmp_path)
         code, out = run_cli(capsys, *argv)
         assert code == 2
         lines = out.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+        if argv[:1] == ["replicate"] and len(argv) > 4:
+            # a rejected value names its flag, and nothing is written
+            assert argv[-2] in json.loads(lines[0])["message"]
+            assert not os.path.exists("unused")
 
     def test_help_exit_code(self, capsys):
         code, out = run_cli(capsys, "estimate", "--help")

@@ -3,23 +3,26 @@
 import math
 import tracemalloc
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp, ndtr, ndtri
 
 from thames.correction import (
     _BLOCK_ROWS,
     ConstrainedCorrectionConfig,
     SupportPredicate,
-    apply_correction,
     estimate_volume_ratio,
     sample_uniform_ellipsoid,
 )
-from thames.errors import InvalidInput, ZeroSupportOverlap
+from thames.errors import DegenerateTerm, InvalidInput, ZeroSupportOverlap
 from thames.estimator import ThamesOptions, thames
-from thames.geometry import Ellipsoid, mahalanobis_sq
+from thames.geometry import Ellipsoid, log_volume, mahalanobis_sq
 from thames.models import GaussianMeanModel, gaussian_dataset
+from thames.radius import RadiusPolicy
 
 
 class TestSupportPredicate:
@@ -47,9 +50,32 @@ class TestSupportPredicate:
         assert got.tolist() == [True, False, False]
 
     def test_callback(self):
-        pred = SupportPredicate.callback(lambda p: p[0] > p[1])
+        pred = SupportPredicate.callback(lambda p: p[:, 0] > p[:, 1])
         got = pred.contains(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert got.tolist() == [True, False]
+
+    def test_callback_matches_positive_orthant(self):
+        pts = np.random.default_rng(12).standard_normal((5000, 4))
+        pts[::9, 2] = 0.0
+        calls = []
+
+        def func(p):
+            calls.append(p.shape)
+            return np.all(p[:, [0, 2]] > 0.0, axis=1)
+
+        got = SupportPredicate.callback(func).contains(pts)
+        assert calls == [(5000, 4)]  # one call for the whole array
+        assert np.array_equal(
+            got, SupportPredicate.positive_orthant([0, 2]).contains(pts))
+
+    @pytest.mark.parametrize("func", [
+        lambda p: p[0] > 0.0,  # a per-point predicate: shape (d,)
+        lambda p: p > 0.0,  # n x d
+        lambda p: bool(p[0, 0] > 0.0),  # a scalar
+    ])
+    def test_callback_wrong_shape_rejected(self, func):
+        with pytest.raises(InvalidInput, match="callback"):
+            SupportPredicate.callback(func).contains(np.ones((3, 2)))
 
     def test_index_validation(self):
         with pytest.raises(InvalidInput):
@@ -193,57 +219,163 @@ class TestVolumeRatio:
         assert r_hat == pytest.approx(0.25, abs=0.01)
 
 
+def truncated_problem(d=2, t=2000, seed=4, n=20, mu=0.2):
+    """Draws, log posterior and exact log Z of the Gaussian mean model
+    with y_i ~ N(mu, I) and the prior N(0, I) truncated to the positive
+    orthant (density 2^d N(0, I) there). The posterior is the untruncated
+    one restricted to the orthant, drawn by inverse CDF, so
+    Z = 2^d Z_untruncated prod_j Phi(m_j / s_n^(1/2))."""
+    rng = np.random.default_rng(seed)
+    model = GaussianMeanModel(1.0, mu + rng.standard_normal((n, d)))
+    m, s_n = model.posterior_params()
+    sd = math.sqrt(s_n)
+    lo = ndtr(-m / sd)
+    u = lo + (1.0 - lo) * rng.random((t, d))
+    draws = np.maximum(m + sd * ndtri(u), np.finfo(float).tiny)
+    log_post = model.log_post(draws) + d * math.log(2.0)
+    exact = (model.exact_log_marginal() + d * math.log(2.0)
+             + float(np.sum(np.log(ndtr(m / sd)))))
+    return draws, log_post, exact
+
+
+def corrected(support, n_samples=5000, seed=13, **opts):
+    """(plain, corrected) estimates on the truncated_problem() draws."""
+    draws, log_post, _ = truncated_problem()
+    cfg = ConstrainedCorrectionConfig(support, n_samples, seed)
+    return (thames(draws, log_post, ThamesOptions(**opts)),
+            thames(draws, log_post, ThamesOptions(correction=cfg, **opts)))
+
+
+ORTHANT = SupportPredicate.positive_orthant([0, 1])
+
+
 class TestApplyCorrection:
-    def _result(self):
-        model = GaussianMeanModel(1.0, gaussian_dataset(2, seed=4))
-        draws = model.posterior_sample(2000, 5)
-        return thames(draws, model.log_post(draws))
+    """The support correction inside thames(): the truncation set is the
+    ellipsoid intersected with the support, of volume V(A) * R_hat."""
 
     def test_shifts_by_log_ratio(self):
-        res = self._result()
-        adj = apply_correction(res, 0.5)
-        assert adj.log_recip_z == pytest.approx(res.log_recip_z + math.log(2.0))
-        assert adj.log_z == pytest.approx(res.log_z - math.log(2.0))
-        assert adj.ci_log_z[0] == pytest.approx(res.ci_log_z[0] - math.log(2.0))
-        assert adj.correction_ratio == 0.5
+        plain, res = corrected(ORTHANT)
+        r = res.correction_ratio
+        assert 0.0 < r < 1.0
+        # every draw lies in the support, so only the volume changes
+        assert res.n_inside == plain.n_inside
+        assert res.log_recip_z == plain.log_recip_z - math.log(r)
+        assert res.log_z == plain.log_z + math.log(r)
+        assert res.ellipsoid.radius == plain.ellipsoid.radius
 
     def test_ratio_one_is_identity(self):
-        res = self._result()
-        adj = apply_correction(res, 1.0)
-        assert adj.log_z == res.log_z
-        assert adj.correction_ratio == 1.0
+        plain, res = corrected(SupportPredicate.unbounded())
+        assert res.correction_ratio == 1.0 and res.correction_ci == (1.0, 1.0)
+        for f in fields(res):
+            if f.name not in ("ellipsoid", "correction_ratio", "correction_ci"):
+                assert getattr(res, f.name) == getattr(plain, f.name), f.name
 
     def test_rejects_out_of_range(self):
-        res = self._result()
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ZeroSupportOverlap):
-                apply_correction(res, bad)
+        # a support that misses the ellipsoid gives R_hat = 0: no estimate
+        with pytest.raises(ZeroSupportOverlap) as exc_info:
+            corrected(SupportPredicate.box((50.0, 50.0), (60.0, 60.0)), 200)
+        assert exc_info.value.ci[0] == 0.0
 
-    @given(st.floats(min_value=0.01, max_value=1.0))
+    @given(st.integers(min_value=100, max_value=5000),
+           st.integers(min_value=0, max_value=2 ** 64 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_round_trips_through_reciprocal(self, ratio):
-        res = self._result()
-        adj = apply_correction(res, ratio)
-        assert adj.log_z + adj.log_recip_z == pytest.approx(0.0, abs=1e-12)
+    def test_round_trips_through_reciprocal(self, n_samples, seed):
+        _, res = corrected(ORTHANT, n_samples, seed)
+        assert res.log_z + res.log_recip_z == 0.0
+
+    def test_se_adds_volume_ratio_variance(self):
+        plain, res = corrected(ORTHANT, n_samples=400)
+        r = res.correction_ratio
+        expected = math.sqrt(plain.se_recip_rel ** 2 + (1.0 - r) / (400 * r))
+        assert res.se_recip_rel == pytest.approx(expected, rel=1e-14)
+        z = 1.959963984540054
+        assert res.ci_log_z[0] == pytest.approx(
+            -(res.log_recip_z + math.log1p(z * res.se_recip_rel)), rel=1e-14)
+        assert res.ci_log_z[1] == pytest.approx(
+            -(res.log_recip_z + math.log(1.0 - z * res.se_recip_rel)), rel=1e-14)
+
+    def test_grid_table_is_uncorrected(self):
+        grid = RadiusPolicy.empirical_grid((1.0, 1.5, 2.0, 2.5))
+        plain, res = corrected(ORTHANT, radius_policy=grid)
+        assert res.radius_table == plain.radius_table
+        assert res.radius_used == plain.radius_used
+        assert res.log_z == plain.log_z + math.log(res.correction_ratio)
+
+
+def wilson_interval(k, n, z=1.959963984540054):
+    p = k / n
+    center = (p + z * z / (2 * n)) / (1 + z * z / n)
+    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / (1 + z * z / n)
+    return center - half, center + half
 
 
 class TestEstimatorIntegration:
     def test_correction_option_matches_manual_application(self):
-        model = GaussianMeanModel(1.0, gaussian_dataset(2, seed=8))
-        draws = model.posterior_sample(2000, 9)
-        log_post = model.log_post(draws)
-        cfg = ConstrainedCorrectionConfig(
-            support=SupportPredicate.positive_orthant([0, 1]),
-            n_samples=5000, seed=13)
+        self.check_against_numpy(cut=False)  # every draw lies in S
+
+    def test_draws_outside_support_match_manual_application(self):
+        self.check_against_numpy(cut=True)  # half the draws lie outside S
+
+    @staticmethod
+    def check_against_numpy(cut):
+        # the sum runs over A and S, with volume V(A) * R_hat; T' counts
+        # every estimation draw, in S or not
+        draws, log_post, _ = truncated_problem()
+        support = ORTHANT
+        if cut:
+            m = draws[:, 0].mean()
+            support = SupportPredicate.box((m, -100.0), (100.0, 100.0))
+        cfg = ConstrainedCorrectionConfig(support, n_samples=5000, seed=13)
         auto = thames(draws, log_post, ThamesOptions(correction=cfg))
         plain = thames(draws, log_post, ThamesOptions())
         r_hat, r_ci = estimate_volume_ratio(plain.ellipsoid, cfg.support,
                                             cfg.n_samples, cfg.seed)
-        manual = apply_correction(plain, r_hat)
-        assert auto.log_z == pytest.approx(manual.log_z, rel=1e-12)
-        assert auto.correction_ratio == manual.correction_ratio
+        e, est, lp = plain.ellipsoid, draws[1000:], log_post[1000:]
+        in_s = support.contains(est)
+        keep = (mahalanobis_sq(est, e) < e.radius ** 2) & in_s
+        x = -lp[keep] - log_volume(e) - math.log(r_hat)
+        log_m1 = logsumexp(x) - math.log(1000)
+        log_m2 = logsumexp(2.0 * x) - math.log(1000)
+        se = math.sqrt((math.exp(log_m2 - 2.0 * log_m1) - 1.0) / 1000
+                       + (1.0 - r_hat) / (cfg.n_samples * r_hat))
+        assert auto.log_recip_z == pytest.approx(log_m1, rel=1e-12)
+        assert auto.se_recip_rel == pytest.approx(se, rel=1e-10)
+        assert auto.n_inside == int(keep.sum())
+        assert auto.t_estimation == plain.t_estimation == 1000
+        assert auto.correction_ratio == r_hat < 1.0
         assert auto.correction_ci == r_ci
         assert plain.correction_ci is None
+        assert in_s.all() != cut
+        if cut:
+            assert auto.n_inside < plain.n_inside
+        else:
+            assert auto.n_inside == plain.n_inside
+
+    def test_draw_outside_support_is_left_out(self):
+        # a zero-density draw outside S would make the plain sum infinite
+        draws, log_post, _ = truncated_problem()
+        center = thames(draws, log_post).ellipsoid.center
+        draws[-1] = (-1e-3, center[1])
+        log_post[-1] = -np.inf
+        with pytest.raises(DegenerateTerm):
+            thames(draws, log_post)
+        cfg = ConstrainedCorrectionConfig(ORTHANT, 5000, 13)
+        res = thames(draws, log_post, ThamesOptions(correction=cfg))
+        assert np.isfinite(res.log_z) and res.t_estimation == 1000
+
+    def test_interval_covers_on_truncated_prior(self):
+        # d = 1, the prior truncated to theta > 0: the ellipsoid sticks
+        # out of the support, and R_hat from 100 uniform points carries a
+        # large share of the error
+        reps, covered = 1000, 0
+        for rep in range(reps):
+            draws, log_post, exact = truncated_problem(d=1, seed=rep)
+            cfg = ConstrainedCorrectionConfig(
+                SupportPredicate.positive_orthant([0]), n_samples=100, seed=rep)
+            res = thames(draws, log_post, ThamesOptions(correction=cfg))
+            covered += res.ci_log_z[0] <= exact <= res.ci_log_z[1]
+        lower, upper = wilson_interval(covered, reps)
+        assert lower <= 0.95 <= upper, covered
 
     def test_correction_ci_follows_ci_level(self):
         model = GaussianMeanModel(1.0, gaussian_dataset(2, seed=8))

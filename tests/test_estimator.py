@@ -24,7 +24,6 @@ from thames.estimator import (
     empirical_scv,
     harmonic_mean_log_z,
     thames,
-    tune_radius_grid,
     variance_recip_iid,
 )
 from thames.geometry import Ellipsoid, log_volume, mahalanobis_sq
@@ -237,11 +236,19 @@ class TestHarmonicMean:
             harmonic_mean_log_z(np.array([-1.0, -np.inf]))
 
 
+def grid_table(draws, log_post, grid, opts=None):
+    """(c_best, radius_table) of a grid-policy estimate."""
+    opts = replace(opts or ThamesOptions(),
+                   radius_policy=RadiusPolicy.empirical_grid(grid))
+    res = thames(draws, log_post, opts)
+    return res.radius_used, res.radius_table
+
+
 class TestRadiusTuning:
     def test_grid_policy_matches_manual_choice(self):
         _, draws, log_post = toy_problem()
         grid = (0.8, 1.5, math.sqrt(3.0), 2.5)
-        c_best, table = tune_radius_grid(draws, log_post, grid)
+        c_best, table = grid_table(draws, log_post, grid)
         assert len(table) == len(grid)
         finite = [(se, c) for c, _, se in table if np.isfinite(se)]
         assert c_best == min(finite)[1]
@@ -252,6 +259,7 @@ class TestRadiusTuning:
             draws, log_post,
             ThamesOptions(radius_policy=RadiusPolicy.fixed(c_best)))
         assert via_policy.log_z == direct.log_z
+        assert direct.radius_table is None
 
     @pytest.mark.parametrize("split", [True, False])
     @pytest.mark.parametrize("serial", ["none", "ar1"])
@@ -261,7 +269,7 @@ class TestRadiusTuning:
         # one draw (NaN row or infinite SE)
         grid = (1e-6, 0.05, 0.08, 0.8, 1.5, math.sqrt(3.0), 2.5, 4.0)
         opts = ThamesOptions(split=split, serial_correction=serial)
-        c_best, table = tune_radius_grid(draws, log_post, grid, opts)
+        c_best, table = grid_table(draws, log_post, grid, opts)
         assert [row[0] for row in table] == list(grid)
         for row in table:
             fixed = replace(opts, radius_policy=RadiusPolicy.fixed(row[0]))
@@ -279,7 +287,8 @@ class TestRadiusTuning:
             opts, radius_policy=RadiusPolicy.empirical_grid(grid)))
         direct = thames(draws, log_post, replace(
             opts, radius_policy=RadiusPolicy.fixed(c_best)))
-        assert_same_result(via_policy, direct)
+        assert via_policy.radius_table == table
+        assert_same_result(replace(via_policy, radius_table=None), direct)
         assert via_policy.radius_used == c_best
 
     def test_one_distance_pass_per_call(self, monkeypatch):
@@ -295,16 +304,13 @@ class TestRadiusTuning:
         monkeypatch.setattr(est, "_mahalanobis_sq", counting)
         _, draws, log_post = toy_problem(t=1000)
         grid = RadiusPolicy.empirical_grid(tuple(np.linspace(0.5, 3.0, 20)))
-        for opts in (ThamesOptions(radius_policy=grid),
-                     ThamesOptions(radius_policy=grid, split=False,
-                                   serial_correction="ar1"),
-                     ThamesOptions()):
+        for opts, shape in ((ThamesOptions(radius_policy=grid), (500, 2)),
+                            (ThamesOptions(radius_policy=grid, split=False,
+                                           serial_correction="ar1"), (1000, 2)),
+                            (ThamesOptions(), (500, 2))):
             calls.clear()
             thames(draws, log_post, opts)
-            assert len(calls) == 1
-        calls.clear()
-        tune_radius_grid(draws, log_post, grid.grid)
-        assert calls == [(500, 2)]
+            assert calls == [shape]
 
     def test_draws_validated_once_per_call(self, monkeypatch):
         import thames.estimator as est
@@ -338,18 +344,26 @@ class TestRadiusTuning:
 
     def test_unusable_radii_marked_nan(self):
         _, draws, log_post = toy_problem(t=500)
-        _, table = tune_radius_grid(draws, log_post, (1e-6, 2.0))
+        _, table = grid_table(draws, log_post, (1e-6, 2.0))
         assert math.isnan(table[0][1]) and np.isfinite(table[1][1])
 
     def test_all_empty_raises(self):
         _, draws, log_post = toy_problem(t=500)
         with pytest.raises(EmptyTruncationSet):
-            tune_radius_grid(draws, log_post, (1e-8,))
+            grid_table(draws, log_post, (1e-8,))
 
     def test_empty_grid_rejected(self):
-        _, draws, log_post = toy_problem(t=500)
         with pytest.raises(InvalidInput):
-            tune_radius_grid(draws, log_post, ())
+            ThamesOptions(radius_policy=RadiusPolicy.empirical_grid(()))
+
+    def test_explicit_ellipsoid_has_no_table(self):
+        model, draws, log_post = toy_problem(t=500)
+        m_n, s_n = model.posterior_params()
+        oracle = Ellipsoid(m_n, math.sqrt(s_n) * np.eye(2), math.sqrt(3.0))
+        grid = RadiusPolicy.empirical_grid((1.0, 2.0))
+        res = thames(draws, log_post, ThamesOptions(radius_policy=grid),
+                     ellipsoid=oracle)
+        assert res.radius_table is None and res.radius_used == math.sqrt(3.0)
 
 
 class TestEmpiricalScv:
