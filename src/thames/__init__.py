@@ -4,7 +4,6 @@ from .correction import (
     ConstrainedCorrectionConfig,
     SupportPredicate,
     estimate_volume_ratio,
-    sample_uniform_ellipsoid,
 )
 from .errors import (
     DegenerateTerm,

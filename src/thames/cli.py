@@ -127,8 +127,10 @@ def _classify_columns(names):
 
 def _parse_value(token, column, line_no, is_theta):
     try:
+        if isinstance(token, bool):  # float(True) is 1.0
+            raise TypeError
         value = float(token)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"column {column!r}: cannot parse {token!r}", line=line_no)
     if math.isnan(value) or value == math.inf or (is_theta and value == -math.inf):
         kind = "finite" if is_theta else 'finite or "-inf"'
@@ -193,8 +195,9 @@ def _rows_from_jsonl(path):
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=line_no)
+            except ValueError as exc:  # JSONDecodeError, or an integer too long
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                raise ParseError(f"invalid JSON: {msg}", line=line_no)
             if not isinstance(record, dict):
                 raise ParseError("each line must be a JSON object", line=line_no)
             yield line_no, record

@@ -43,19 +43,20 @@ class SupportPredicate:
 
     @classmethod
     def positive_orthant(cls, indices):
-        return cls("positive_orthant", indices=tuple(int(i) for i in indices))
+        return cls("positive_orthant", indices=_nonempty_indices(indices))
 
     @classmethod
     def box(cls, lower, upper):
         lower = tuple(float(x) for x in lower)
         upper = tuple(float(x) for x in upper)
-        if len(lower) != len(upper) or any(l >= u for l, u in zip(lower, upper)):
+        # not l < u, so that a NaN bound is rejected too
+        if len(lower) != len(upper) or any(not l < u for l, u in zip(lower, upper)):
             raise InvalidInput("box bounds must satisfy lower < upper componentwise")
         return cls("box", lower=lower, upper=upper)
 
     @classmethod
     def simplex(cls, indices=None):
-        idx = None if indices is None else tuple(int(i) for i in indices)
+        idx = None if indices is None else _nonempty_indices(indices)
         return cls("simplex", indices=idx)
 
     @classmethod
@@ -81,10 +82,9 @@ class SupportPredicate:
             up = np.asarray(self.upper)
             return np.all((pts > lo) & (pts < up), axis=1)
         if self.kind == "simplex":
-            idx = list(self.indices) if self.indices is not None else list(range(d))
-            if idx and max(idx) >= d:
-                raise InvalidInput("simplex indices out of range")
-            sub = pts[:, idx]
+            if self.indices is not None:
+                self._check_indices(d)
+            sub = pts[:, list(range(d) if self.indices is None else self.indices)]
             return np.all(sub > 0.0, axis=1) & (sub.sum(axis=1) < 1.0)
         if self.kind == "callback":
             hits = np.asarray(self.func(pts))
@@ -97,6 +97,14 @@ class SupportPredicate:
     def _check_indices(self, d):
         if any(i < 0 or i >= d for i in self.indices):
             raise InvalidInput("support indices out of range")
+
+
+def _nonempty_indices(indices):
+    """The column indices of a support as a tuple of ints; at least one."""
+    idx = tuple(int(i) for i in indices)
+    if not idx:
+        raise InvalidInput("support needs at least one index")
+    return idx
 
 
 def _check_sample_count(n):
@@ -120,10 +128,13 @@ _BLOCK_ROWS = 1 << 14
 
 
 def _uniform_blocks(e: Ellipsoid, n, seed):
-    """Yield n uniform points in the ellipsoid, _BLOCK_ROWS rows at a time.
+    """Yield n iid uniform points in the open ellipsoid, _BLOCK_ROWS rows
+    at a time, deterministic per seed.
 
+    Direction from a normalized Gaussian vector, radius from c * u^(1/d).
     Each block draws its normals g, then its radii r, from the seed's one
-    Philox stream and maps them to center + (g @ scale.T) * (r / |g|).
+    Philox stream and maps them to center + (g @ scale.T) * (r / |g|), so
+    the points for a seed depend on _BLOCK_ROWS.
     """
     _check_sample_count(n)
     rng = _rng(seed)
@@ -140,28 +151,12 @@ def _uniform_blocks(e: Ellipsoid, n, seed):
         yield pts
 
 
-def sample_uniform_ellipsoid(e: Ellipsoid, n, seed):
-    """n iid uniform points in the open ellipsoid, deterministic per seed.
-
-    Direction from a normalized Gaussian vector, radius from c * u^(1/d).
-    Rows come in blocks of _BLOCK_ROWS: each block's normals and then its
-    radii are drawn in turn from one Philox stream, so the points for a
-    seed depend on _BLOCK_ROWS. estimate_volume_ratio counts the same
-    blocks without holding them all.
-    """
-    _check_sample_count(n)
-    out = np.empty((n, e.dim))
-    for i, pts in enumerate(_uniform_blocks(e, n, seed)):
-        out[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS] = pts
-    return out
-
-
 def estimate_volume_ratio(e: Ellipsoid, support: SupportPredicate, n, seed,
                           ci_level=0.95):
     """Monte Carlo volume ratio R_hat with a normal-approximation CI.
 
-    The points of sample_uniform_ellipsoid(e, n, seed) are counted block
-    by block, so memory does not grow with n. Raises ZeroSupportOverlap
+    The points of _uniform_blocks(e, n, seed) are counted block by
+    block, so memory does not grow with n. Raises ZeroSupportOverlap
     (carrying the CI) when no sample lands in the support, since dividing
     by R_hat = 0 is undefined.
     """

@@ -50,29 +50,21 @@ def _two_sided_z(level):
 class ThamesOptions:
     """Estimator configuration.
 
-    serial_correction is "none", "ar1", or a user-supplied variance
-    inflation factor >= 1. correction, when set, is a
+    serial_correction is "none" or "ar1". correction, when set, is a
     ConstrainedCorrectionConfig from the correction module.
     """
 
     radius_policy: RadiusPolicy = RadiusPolicy.sqrt_d_plus_1()
     split: bool = True
-    split_fraction: float = 0.5
     ci_level: float = 0.95
-    serial_correction: object = "none"
+    serial_correction: str = "none"
     correction: object = None
-    ridge: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.split_fraction < 1.0:
-            raise InvalidInput("split_fraction must be in (0, 1)")
         _check_level(self.ci_level)
-        sc = self.serial_correction
-        if isinstance(sc, str):
-            if sc not in ("none", "ar1"):
-                raise InvalidInput(f"unknown serial correction {sc!r}")
-        elif not (np.isreal(sc) and sc >= 1.0):
-            raise InvalidInput("user inflation factor must be a real >= 1")
+        if self.serial_correction not in ("none", "ar1"):
+            raise InvalidInput(
+                f"unknown serial correction {self.serial_correction!r}")
 
 
 @dataclass(frozen=True)
@@ -90,14 +82,12 @@ class ThamesResult:
     radius_table: tuple = None  # grid policy: (c, log_z, se_recip_rel) rows
 
 
-def _split_index(t, opts: ThamesOptions):
-    t_fit = int(np.floor(opts.split_fraction * t))
-    if t_fit < 2 or t - t_fit < 2:
-        raise InvalidInput(
-            f"split of T={t} at fraction {opts.split_fraction} leaves "
-            "fewer than 2 draws on one side"
-        )
-    return t_fit
+def _split_index(t):
+    """Rows of the fitting half: the first T // 2 of T draws."""
+    if t < 4:
+        raise InvalidInput(f"splitting T={t} draws in half leaves fewer than 2 "
+                           "on one side")
+    return t // 2
 
 
 def variance_recip_iid(log_terms, t_estimation, log_vol):
@@ -200,8 +190,6 @@ def _estimate_inside(maha, log_post_est, e, opts: ThamesOptions, ratio=None):
     if opts.serial_correction == "ar1":
         series = np.where(inside, -log_post_est, -np.inf)
         se *= np.sqrt(ar1_inflation(series))
-    elif not isinstance(opts.serial_correction, str):
-        se *= np.sqrt(float(opts.serial_correction))
 
     r_hat, r_ci = ratio or (None, None)
     if ratio is not None:
@@ -250,8 +238,8 @@ def _sweep(maha, lp_est, base, grid, opts: ThamesOptions):
 def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = None):
     """Estimate log Z^-1 (and log Z) from posterior draws.
 
-    With splitting enabled, the ellipsoid is fit on the first
-    floor(split_fraction * T) draws and the sum runs over the remainder.
+    With splitting enabled, the ellipsoid is fit on the first T // 2
+    draws and the sum runs over the remainder.
     Passing an explicit ellipsoid bypasses fitting (and splitting)
     entirely, e.g. for oracle posterior moments.
 
@@ -273,9 +261,9 @@ def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = N
         c = 1.0 if grid else resolve_radius(opts.radius_policy, a.shape[1])
         fit_part = a
         if opts.split:
-            t_fit = _split_index(a.shape[0], opts)
+            t_fit = _split_index(a.shape[0])
             fit_part, a, lp = a[:t_fit], a[t_fit:], lp[t_fit:]
-        e = _fit(fit_part, c, ridge=opts.ridge)
+        e = _fit(fit_part, c)
     maha = _mahalanobis_sq(a, e)
     table = None
     if grid:

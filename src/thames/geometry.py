@@ -15,7 +15,6 @@ import numpy as np
 from .errors import InvalidInput, NotPositiveDefinite
 
 SYMMETRY_RTOL = 1e-10
-RIDGE_EPS = 1e-8
 # rows per block of the standardizing product, so its temporaries stay a
 # few MB whatever T is
 _BLOCK_ROWS = 2048
@@ -58,13 +57,11 @@ def _covariance(a):
     return 0.5 * (c + c.T)
 
 
-def cholesky_factor(sigma, ridge=False):
+def cholesky_factor(sigma):
     """Lower-triangular factor Lo with Lo Lo^T = sigma.
 
     sigma must be symmetric to 1e-10 relative; it is symmetrized before
-    factorization. A failed factorization raises NotPositiveDefinite unless
-    ridge=True, in which case eps * mean(diag) * I is added once and the
-    factorization retried.
+    factorization. A failed factorization raises NotPositiveDefinite.
     """
     s = np.asarray(sigma, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -72,21 +69,11 @@ def cholesky_factor(sigma, ridge=False):
     scale = np.max(np.abs(s))
     if scale > 0 and np.max(np.abs(s - s.T)) > SYMMETRY_RTOL * scale:
         raise InvalidInput("matrix is not symmetric within tolerance")
-    s = 0.5 * (s + s.T)
     try:
-        return np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        if not ridge:
-            raise NotPositiveDefinite(
-                "covariance matrix is not positive definite"
-            ) from None
-    s_r = s + RIDGE_EPS * np.mean(np.diag(s)) * np.eye(s.shape[0])
-    try:
-        return np.linalg.cholesky(s_r)
+        return np.linalg.cholesky(0.5 * (s + s.T))
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(
-            "covariance matrix is not positive definite even with ridge"
-        ) from None
+            "covariance matrix is not positive definite") from None
 
 
 @dataclass(frozen=True)
@@ -94,13 +81,13 @@ class Ellipsoid:
     """Truncation set: {theta : (theta-center)^T Sigma^-1 (theta-center) < radius^2}.
 
     scale is the lower-triangular factor of Sigma, so log|Sigma| is
-    twice the sum of the log diagonal (cached at construction).
+    twice the sum of the log diagonal, computed at construction.
     """
 
     center: np.ndarray
     scale: np.ndarray
     radius: float
-    log_det_sigma: float = field(default=None)
+    log_det_sigma: float = field(init=False)
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float).reshape(-1)
@@ -116,29 +103,25 @@ class Ellipsoid:
             raise InvalidInput("scale factor must have strictly positive diagonal")
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise InvalidInput("radius must be finite and positive")
-        if self.log_det_sigma is None:
-            object.__setattr__(
-                self, "log_det_sigma", 2.0 * float(np.sum(np.log(diag)))
-            )
+        object.__setattr__(self, "log_det_sigma", 2.0 * float(np.sum(np.log(diag))))
 
     @property
     def dim(self):
         return self.center.size
 
     @classmethod
-    def from_moments(cls, center, sigma, radius, ridge=False):
-        return cls(center, cholesky_factor(sigma, ridge=ridge), radius)
+    def from_moments(cls, center, sigma, radius):
+        return cls(center, cholesky_factor(sigma), radius)
 
     @classmethod
-    def fit(cls, draws, radius, ridge=False):
+    def fit(cls, draws, radius):
         """Fit center and shape to a draw matrix (empirical mean/covariance)."""
-        return _fit(as_draw_matrix(draws, min_rows=2), radius, ridge)
+        return _fit(as_draw_matrix(draws, min_rows=2), radius)
 
 
-def _fit(a, radius, ridge=False):
+def _fit(a, radius):
     """Ellipsoid.fit for a matrix as_draw_matrix has validated."""
-    return Ellipsoid.from_moments(a.mean(axis=0), _covariance(a), radius,
-                                  ridge=ridge)
+    return Ellipsoid.from_moments(a.mean(axis=0), _covariance(a), radius)
 
 
 def mahalanobis_sq(theta, e: Ellipsoid):

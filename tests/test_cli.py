@@ -117,6 +117,21 @@ class TestLoadTable:
             load_table(path)
         assert exc_info.value.line == line
 
+    @pytest.mark.parametrize("value", ["true", "false", "9" * 400, "9" * 5000],
+                             ids=["true", "false", "400 digits", "5000 digits"])
+    def test_jsonl_value_that_is_not_a_float_is_a_parse_error(
+            self, tmp_path, capsys, value):
+        # true is no number, a 400-digit int overflows float(), and a
+        # 5000-digit one is past json's int digit limit
+        path = str(tmp_path / "draws.jsonl")
+        with open(path, "w") as fh:
+            fh.write('{"theta_1": 1.0, "log_unnorm_posterior": -1.0}\n' * 4)
+            fh.write(f'{{"theta_1": {value}, "log_unnorm_posterior": -1.0}}\n')
+        code, out = run_cli(capsys, "estimate", path)
+        assert code == 3
+        error = json.loads(out)
+        assert error["error"] == "parse" and error["line"] == 5
+
     def test_rejects_nonfinite_theta(self, tmp_path):
         path = str(tmp_path / "draws.csv")
         with open(path, "w") as fh:
@@ -314,6 +329,8 @@ class TestEstimateCommand:
         ("--radius", "grid:1,nan"),
         ("--support", "box:1:0"),
         ("--support", "positive:x"),
+        ("--support", "box:nan:1,0:1"),
+        ("--support", "positive:"),
     ])
     def test_bad_flag_value_exit_code(self, tmp_path, capsys, flag, value):
         path = str(tmp_path / "draws.csv")

@@ -15,14 +15,19 @@ from thames.correction import (
     _BLOCK_ROWS,
     ConstrainedCorrectionConfig,
     SupportPredicate,
+    _uniform_blocks,
     estimate_volume_ratio,
-    sample_uniform_ellipsoid,
 )
 from thames.errors import DegenerateTerm, InvalidInput, ZeroSupportOverlap
 from thames.estimator import ThamesOptions, thames
 from thames.geometry import Ellipsoid, log_volume, mahalanobis_sq
 from thames.models import GaussianMeanModel, gaussian_dataset
 from thames.radius import RadiusPolicy
+
+
+def sample_uniform(e, n, seed):
+    """All n points of the volume ratio's uniform stream, as one array."""
+    return np.concatenate(list(_uniform_blocks(e, n, seed)))
 
 
 class TestSupportPredicate:
@@ -43,6 +48,13 @@ class TestSupportPredicate:
     def test_box_validates_bounds(self):
         with pytest.raises(InvalidInput):
             SupportPredicate.box([1.0], [1.0])
+
+    @pytest.mark.parametrize("lower, upper", [([math.nan], [1.0]),
+                                              ([0.0], [math.nan])])
+    def test_box_rejects_nan_bounds(self, lower, upper):
+        # no comparison with NaN holds, so a NaN bound would hold no point
+        with pytest.raises(InvalidInput):
+            SupportPredicate.box(lower, upper)
 
     def test_simplex(self):
         pred = SupportPredicate.simplex()
@@ -81,7 +93,26 @@ class TestSupportPredicate:
         with pytest.raises(InvalidInput):
             SupportPredicate.positive_orthant([3]).contains(np.zeros((1, 2)))
 
-    @pytest.mark.parametrize("indices", [[], [2], [0, 3, 1], [1, 1, 4]])
+    @pytest.mark.parametrize("indices", [[-1], [0, -2]])
+    def test_simplex_negative_index_rejected(self, indices):
+        # as for positive_orthant: a negative index would otherwise wrap
+        # round to a column counted from the end
+        with pytest.raises(InvalidInput, match="out of range"):
+            SupportPredicate.simplex(indices).contains(np.full((1, 2), 0.25))
+
+    @pytest.mark.parametrize("make", [SupportPredicate.positive_orthant,
+                                      SupportPredicate.simplex])
+    def test_empty_index_list_rejected(self, make):
+        # an empty list would select no coordinate and hold every point
+        with pytest.raises(InvalidInput, match="at least one index"):
+            make([])
+
+    def test_simplex_selected_indices(self):
+        pred = SupportPredicate.simplex([0, 2])
+        got = pred.contains(np.array([[0.2, -5.0, 0.3], [0.6, 0.1, 0.6]]))
+        assert got.tolist() == [True, False]
+
+    @pytest.mark.parametrize("indices", [[4, 0], [2], [0, 3, 1], [1, 1, 4]])
     def test_positive_orthant_matches_fancy_index_form(self, indices):
         pts = np.random.default_rng(11).standard_normal((2000, 5))
         pts[::7, 1] = 0.0  # the boundary is outside the open orthant
@@ -90,27 +121,29 @@ class TestSupportPredicate:
 
 
 class TestUniformSampling:
+    """The points _uniform_blocks yields, which estimate_volume_ratio counts."""
+
     def test_all_points_inside(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 3))
         e = Ellipsoid.from_moments(np.array([1.0, 2.0, -1.0]),
                                    a.T @ a + np.eye(3), 2.0)
-        pts = sample_uniform_ellipsoid(e, 5000, seed=9)
+        pts = sample_uniform(e, 5000, seed=9)
         assert pts.shape == (5000, 3)
         assert np.all(mahalanobis_sq(pts, e) < e.radius ** 2)
 
     def test_deterministic_per_seed(self):
         e = Ellipsoid(np.zeros(2), np.eye(2), 1.0)
-        assert np.array_equal(sample_uniform_ellipsoid(e, 100, seed=3),
-                              sample_uniform_ellipsoid(e, 100, seed=3))
-        assert not np.array_equal(sample_uniform_ellipsoid(e, 100, seed=3),
-                                  sample_uniform_ellipsoid(e, 100, seed=4))
+        assert np.array_equal(sample_uniform(e, 100, seed=3),
+                              sample_uniform(e, 100, seed=3))
+        assert not np.array_equal(sample_uniform(e, 100, seed=3),
+                                  sample_uniform(e, 100, seed=4))
 
     def test_radial_distribution(self):
         # within a ball, P(|x| <= r) = (r/c)^d
         d, c = 3, 2.0
         e = Ellipsoid(np.zeros(d), np.eye(d), c)
-        pts = sample_uniform_ellipsoid(e, 100_000, seed=1)
+        pts = sample_uniform(e, 100_000, seed=1)
         radii = np.linalg.norm(pts, axis=1)
         for frac in (0.25, 0.5, 0.75):
             expected = frac ** d
@@ -119,7 +152,7 @@ class TestUniformSampling:
 
     def test_mean_is_center(self):
         e = Ellipsoid(np.array([3.0, -1.0]), np.eye(2), 1.5)
-        pts = sample_uniform_ellipsoid(e, 50_000, seed=2)
+        pts = sample_uniform(e, 50_000, seed=2)
         assert np.allclose(pts.mean(axis=0), e.center, atol=0.02)
 
     @pytest.mark.parametrize("d", [1, 10, 100])
@@ -141,22 +174,22 @@ class TestUniformSampling:
             norms[norms == 0.0] = 1.0
             blocks.append(e.center + (g @ e.scale.T) * (r / norms)[:, None])
         expected = np.concatenate(blocks)
-        assert np.array_equal(sample_uniform_ellipsoid(e, n, seed=17), expected)
+        assert np.array_equal(sample_uniform(e, n, seed=17), expected)
 
     def test_rejects_bad_count(self):
         e = Ellipsoid(np.zeros(1), np.eye(1), 1.0)
         with pytest.raises(InvalidInput):
-            sample_uniform_ellipsoid(e, 0, seed=0)
+            sample_uniform(e, 0, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_rejects_seed_outside_64_bits(self, seed):
         e = Ellipsoid(np.zeros(1), np.eye(1), 1.0)
         with pytest.raises(InvalidInput):
-            sample_uniform_ellipsoid(e, 10, seed=seed)
+            sample_uniform(e, 10, seed=seed)
 
     def test_accepts_largest_64_bit_seed(self):
         e = Ellipsoid(np.zeros(1), np.eye(1), 1.0)
-        assert sample_uniform_ellipsoid(e, 10, seed=2 ** 64 - 1).shape == (10, 1)
+        assert sample_uniform(e, 10, seed=2 ** 64 - 1).shape == (10, 1)
 
 
 class TestVolumeRatio:
@@ -195,7 +228,7 @@ class TestVolumeRatio:
         e = Ellipsoid(np.array([0.3, -0.2, 0.1]), np.eye(3), 1.5)
         support = SupportPredicate.positive_orthant([0, 2])
         r_hat, _ = estimate_volume_ratio(e, support, n, seed=5)
-        pts = sample_uniform_ellipsoid(e, n, seed=5)
+        pts = sample_uniform(e, n, seed=5)
         assert r_hat == support.contains(pts).mean()
 
     def test_memory_does_not_grow_with_n(self):

@@ -86,6 +86,25 @@ class TestPointEstimate:
         res = thames(draws, log_post)
         assert res.t_estimation == 1001 - 500
 
+    def test_split_boundaries(self):
+        # T = 3 leaves one draw on a side; T = 4 and T = 5 fit the ellipsoid
+        # on the first T // 2 draws and sum over the rest
+        _, draws, log_post = toy_problem(d=1, t=5)
+        with pytest.raises(InvalidInput, match="in half"):
+            thames(draws[:3], log_post[:3])
+        opts = ThamesOptions(radius_policy=RadiusPolicy.fixed(100.0))
+        for t, t_est in ((4, 2), (5, 3)):
+            res = thames(draws[:t], log_post[:t], opts)
+            assert res.t_estimation == t_est
+            fit = Ellipsoid.fit(draws[:t // 2], 100.0)
+            assert np.array_equal(res.ellipsoid.center, fit.center)
+            assert np.array_equal(res.ellipsoid.scale, fit.scale)
+
+    def test_options_are_the_ones_a_caller_sets(self):
+        assert [f.name for f in fields(ThamesOptions)] == [
+            "radius_policy", "split", "ci_level", "serial_correction",
+            "correction"]
+
     def test_explicit_ellipsoid_bypasses_split(self):
         model, draws, log_post = toy_problem(t=1000)
         m_n, s_n = model.posterior_params()
@@ -208,17 +227,12 @@ class TestSerialCorrection:
         with pytest.raises(InvalidInput):
             ar1_inflation(np.zeros(5))
 
-    def test_option_inflates_reported_se(self):
-        _, draws, log_post = toy_problem()
-        plain = thames(draws, log_post, ThamesOptions())
-        scaled = thames(draws, log_post, ThamesOptions(serial_correction=4.0))
-        assert scaled.se_recip_rel == pytest.approx(2.0 * plain.se_recip_rel,
-                                                    rel=1e-12)
-        assert scaled.log_z == plain.log_z
-
     def test_rejects_bad_factor(self):
+        # the correction is named, "none" or "ar1"; a number is not one
         with pytest.raises(InvalidInput):
             ThamesOptions(serial_correction=0.5)
+        with pytest.raises(InvalidInput):
+            ThamesOptions(serial_correction=4.0)
         with pytest.raises(InvalidInput):
             ThamesOptions(serial_correction="bogus")
 

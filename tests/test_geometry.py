@@ -1,6 +1,7 @@
 """Geometry primitives: validation, moments, factorization, ellipsoids."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,13 +81,9 @@ class TestCholesky:
         sigma = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefinite):
             cholesky_factor(sigma)
-
-    def test_ridge_rescues_near_singular(self):
-        sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
+        # singular: no ridge is added
         with pytest.raises(NotPositiveDefinite):
-            cholesky_factor(sigma)
-        lo = cholesky_factor(sigma, ridge=True)
-        assert np.all(np.isfinite(lo))
+            cholesky_factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 class TestEllipsoid:
@@ -95,6 +92,17 @@ class TestEllipsoid:
         e = Ellipsoid(np.zeros(2), lo, 1.5)
         assert e.log_det_sigma == pytest.approx(2.0 * (math.log(2.0) + math.log(3.0)))
         assert e.dim == 2
+
+    def test_log_det_is_not_an_argument(self):
+        # a value passed in could contradict scale, and log_volume trusts it
+        with pytest.raises(TypeError):
+            Ellipsoid(np.zeros(2), np.eye(2), 1.0, log_det_sigma=1.0)
+
+    def test_replace_recomputes_log_det(self):
+        lo = np.array([[2.0, 0.0], [1.0, 3.0]])
+        e = Ellipsoid(np.zeros(2), lo, 1.5)
+        assert replace(e, radius=2.5).log_det_sigma == e.log_det_sigma
+        assert replace(e, scale=np.eye(2)).log_det_sigma == 0.0
 
     def test_fit_matches_moments(self):
         a = RNG.standard_normal((500, 3)) * [1.0, 2.0, 0.5]
