@@ -48,7 +48,7 @@ from .correction import (
     SupportPredicate,
     _check_sample_count,
 )
-from .errors import InvalidInput, NumericalError, ParseError, ZeroSupportOverlap
+from .errors import InvalidInput, NumericalError, ParseError
 from .estimator import ThamesOptions, _check_level, thames
 from .radius import RadiusPolicy, optimal_radius, resolve_radius, scv_bounds, scv_normal
 from .seeds import _check_seed
@@ -131,7 +131,10 @@ def _parse_value(token, column, line_no, is_theta):
             raise TypeError
         value = float(token)
     except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"column {column!r}: cannot parse {token!r}", line=line_no)
+        shown = repr(token)
+        if len(shown) > 40:  # so that a huge bad field gives a short error line
+            shown = f"{shown[:40]}... ({len(str(token))} characters)"
+        raise ParseError(f"column {column!r}: cannot parse {shown}", line=line_no)
     if math.isnan(value) or value == math.inf or (is_theta and value == -math.inf):
         kind = "finite" if is_theta else 'finite or "-inf"'
         raise ParseError(f"column {column!r}: value must be {kind}", line=line_no)
@@ -357,11 +360,11 @@ def _checked(convert, check):
 
 
 def worker_count():
-    raw = os.environ.get("THAMES_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """THAMES_THREADS, an int >= 1; 1 when it is unset or empty."""
+    raw = os.environ.get("THAMES_THREADS") or "1"
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise InvalidInput(f"THAMES_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +481,9 @@ def _write_csv(path, header, rows):
 
 def cmd_replicate(args, stdout):
     _, name, header = experiments.EXPERIMENTS[args.experiment]
+    threads = worker_count()  # a bad value fails before --out is created
     os.makedirs(args.out, exist_ok=True)
-    rows = experiments.run(args.experiment, args.seed, args.reps, worker_count())
+    rows = experiments.run(args.experiment, args.seed, args.reps, threads)
     _write_csv(os.path.join(args.out, name), header, rows)
     return 0
 
@@ -574,13 +578,6 @@ def main(argv=None):
     except ParseError as exc:
         emit_error("parse", str(exc), stdout, line=exc.line)
         return 3
-    except ZeroSupportOverlap as exc:
-        extra = {}
-        if exc.ci is not None:
-            extra = {"correction_ci_lower": exc.ci[0],
-                     "correction_ci_upper": exc.ci[1]}
-        emit_error("numerical", str(exc), stdout, **extra)
-        return 4
     except NumericalError as exc:
         emit_error("numerical", str(exc), stdout)
         return 4

@@ -10,6 +10,7 @@ determines the draw; parallel replications should derive per-replication
 seeds with seeds.spawn_seed.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,8 @@ class SupportPredicate:
     "callback". Simplex membership means the selected coordinates are
     strictly positive and sum to less than 1 (the last, dropped simplex
     coordinate holds the remainder). A callback's func takes an n x d
-    array and returns n booleans.
+    array and returns n booleans. Every check that needs no points runs
+    at construction, however the predicate is built.
     """
 
     kind: str
@@ -37,27 +39,47 @@ class SupportPredicate:
     upper: tuple = None
     func: object = None
 
+    def __post_init__(self):
+        if self.kind not in ("unbounded", "positive_orthant", "box", "simplex",
+                             "callback"):
+            raise InvalidInput(f"unknown support kind {self.kind!r}")
+        try:  # indices and bounds become tuples; a missing one is a TypeError
+            if self.indices is not None or self.kind == "positive_orthant":
+                object.__setattr__(self, "indices",
+                                   tuple(map(operator.index, self.indices)))
+            if self.kind == "box":
+                object.__setattr__(self, "lower", tuple(map(float, self.lower)))
+                object.__setattr__(self, "upper", tuple(map(float, self.upper)))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"{self.kind} support: {exc}") from None
+        if self.indices == ():
+            raise InvalidInput("support needs at least one index")
+        if self.indices and min(self.indices) < 0:
+            raise InvalidInput("support indices out of range: one is negative")
+        lo, up = self.lower, self.upper
+        # not l < u, so that a NaN bound is rejected too
+        if self.kind == "box" and (not lo or len(lo) != len(up)
+                                   or any(not l < u for l, u in zip(lo, up))):
+            raise InvalidInput("box bounds must be non-empty and satisfy "
+                               "lower < upper componentwise")
+        if self.kind == "callback" and not callable(self.func):
+            raise InvalidInput("support callback needs a callable func")
+
     @classmethod
     def unbounded(cls):
         return cls("unbounded")
 
     @classmethod
     def positive_orthant(cls, indices):
-        return cls("positive_orthant", indices=_nonempty_indices(indices))
+        return cls("positive_orthant", indices=indices)
 
     @classmethod
     def box(cls, lower, upper):
-        lower = tuple(float(x) for x in lower)
-        upper = tuple(float(x) for x in upper)
-        # not l < u, so that a NaN bound is rejected too
-        if len(lower) != len(upper) or any(not l < u for l, u in zip(lower, upper)):
-            raise InvalidInput("box bounds must satisfy lower < upper componentwise")
         return cls("box", lower=lower, upper=upper)
 
     @classmethod
     def simplex(cls, indices=None):
-        idx = None if indices is None else _nonempty_indices(indices)
-        return cls("simplex", indices=idx)
+        return cls("simplex", indices=indices)
 
     @classmethod
     def callback(cls, func):
@@ -69,8 +91,9 @@ class SupportPredicate:
         n, d = pts.shape
         if self.kind == "unbounded":
             return np.ones(n, dtype=bool)
+        if self.indices is not None and max(self.indices) >= d:
+            raise InvalidInput("support indices out of range")
         if self.kind == "positive_orthant":
-            self._check_indices(d)
             hits = np.ones(n, dtype=bool)
             for i in self.indices:
                 hits &= pts[:, i] > 0.0
@@ -82,29 +105,13 @@ class SupportPredicate:
             up = np.asarray(self.upper)
             return np.all((pts > lo) & (pts < up), axis=1)
         if self.kind == "simplex":
-            if self.indices is not None:
-                self._check_indices(d)
             sub = pts[:, list(range(d) if self.indices is None else self.indices)]
             return np.all(sub > 0.0, axis=1) & (sub.sum(axis=1) < 1.0)
-        if self.kind == "callback":
-            hits = np.asarray(self.func(pts))
-            if hits.shape != (n,):
-                raise InvalidInput(f"support callback returned shape {hits.shape} "
-                                   f"for {n} points; expected ({n},)")
-            return hits.astype(bool)
-        raise InvalidInput(f"unknown support kind {self.kind!r}")
-
-    def _check_indices(self, d):
-        if any(i < 0 or i >= d for i in self.indices):
-            raise InvalidInput("support indices out of range")
-
-
-def _nonempty_indices(indices):
-    """The column indices of a support as a tuple of ints; at least one."""
-    idx = tuple(int(i) for i in indices)
-    if not idx:
-        raise InvalidInput("support needs at least one index")
-    return idx
+        hits = np.asarray(self.func(pts))  # a callback
+        if hits.shape != (n,):
+            raise InvalidInput(f"support callback returned shape {hits.shape} "
+                               f"for {n} points; expected ({n},)")
+        return hits.astype(bool)
 
 
 def _check_sample_count(n):
@@ -156,19 +163,18 @@ def estimate_volume_ratio(e: Ellipsoid, support: SupportPredicate, n, seed,
     """Monte Carlo volume ratio R_hat with a normal-approximation CI.
 
     The points of _uniform_blocks(e, n, seed) are counted block by
-    block, so memory does not grow with n. Raises ZeroSupportOverlap
-    (carrying the CI) when no sample lands in the support, since dividing
-    by R_hat = 0 is undefined.
+    block, so memory does not grow with n. Raises ZeroSupportOverlap when
+    no sample lands in the support, since dividing by R_hat = 0 is
+    undefined.
     """
     _check_level(ci_level)
     hits = sum(np.count_nonzero(support.contains(pts))
                for pts in _uniform_blocks(e, n, seed))
-    r_hat = hits / n
-    half = _two_sided_z(ci_level) * np.sqrt(r_hat * (1.0 - r_hat) / n)
-    ci = (max(0.0, r_hat - half), min(1.0, r_hat + half))
-    if r_hat == 0.0:
+    if hits == 0:
         raise ZeroSupportOverlap(
             "no uniform sample fell inside the support; increase n or check "
-            "the support specification", ci=ci)
-    return r_hat, ci
+            "the support specification")
+    r_hat = hits / n
+    half = _two_sided_z(ci_level) * np.sqrt(r_hat * (1.0 - r_hat) / n)
+    return r_hat, (max(0.0, r_hat - half), min(1.0, r_hat + half))
 

@@ -54,8 +54,4 @@ class DegenerateTerm(NumericalError):
 
 
 class ZeroSupportOverlap(NumericalError):
-    """The ellipsoid/support volume ratio estimate is zero (or nonpositive)."""
-
-    def __init__(self, message, ci=None):
-        super().__init__(message)
-        self.ci = ci
+    """No uniform point in the ellipsoid fell in the support: R_hat is zero."""

@@ -159,17 +159,17 @@ def harmonic_mean_log_z(log_likelihoods):
     return float(np.log(ll.size) - logsumexp(-ll))
 
 
-def _estimate_inside(maha, log_post_est, e, opts: ThamesOptions, ratio=None):
-    """The estimate for ellipsoid e, given each estimation draw's
-    Mahalanobis distance from its center (squared, in its shape).
+def _estimate_inside(inside, log_post_est, e, opts: ThamesOptions, ratio=None,
+                     table=None):
+    """The estimate for ellipsoid e over the estimation draws that inside
+    flags, those strictly inside e; table is the grid table, if any.
 
     ratio, when given, is (R_hat, its CI) for the support S of
-    opts.correction; the truncation set is then A intersect S, so maha
-    must be inf for every draw outside S, and V(A intersect S) is
+    opts.correction; the truncation set is then A intersect S, so inside
+    must be False for every draw outside S, and V(A intersect S) is
     V(A) * R_hat. The Monte Carlo variance of R_hat, (1 - R)/(n R) on
     the relative scale, adds to that of the sum.
     """
-    inside = maha < e.radius * e.radius  # strict: boundary ties excluded
     n_inside = int(np.count_nonzero(inside))
     if n_inside == 0:
         raise EmptyTruncationSet("no draw inside the truncation ellipsoid")
@@ -178,7 +178,7 @@ def _estimate_inside(maha, log_post_est, e, opts: ThamesOptions, ratio=None):
         raise DegenerateTerm(
             "zero-density draw inside the ellipsoid makes the sum infinite"
         )
-    t_est = maha.shape[0]
+    t_est = inside.shape[0]
     log_vol = log_volume(e)
     log_terms = -lp_in  # log(1/(L pi)) per included draw
     log_recip_z = float(logsumexp(log_terms) - log_vol - np.log(t_est))
@@ -197,19 +197,18 @@ def _estimate_inside(maha, log_post_est, e, opts: ThamesOptions, ratio=None):
         n = opts.correction.n_samples
         se = math.hypot(se, math.sqrt((1.0 - r_hat) / (n * r_hat)))
 
-    ci = confidence_interval(log_recip_z, se, opts.ci_level) if np.isfinite(se) \
-        else (-np.inf, np.inf)
     return ThamesResult(
         log_recip_z=log_recip_z,
         log_z=-log_recip_z,
         se_recip_rel=se,
-        ci_log_z=ci,
+        ci_log_z=confidence_interval(log_recip_z, se, opts.ci_level),
         t_estimation=t_est,
         n_inside=n_inside,
         radius_used=e.radius,
         ellipsoid=e,
         correction_ratio=r_hat,
         correction_ci=r_ci,
+        radius_table=table,
     )
 
 
@@ -224,8 +223,8 @@ def _sweep(maha, lp_est, base, grid, opts: ThamesOptions):
     table = []
     for c in map(float, grid):
         try:
-            res = _estimate_inside(maha, lp_est, replace(base, radius=c), opts)
-        except (EmptyTruncationSet, InsufficientData, DegenerateTerm):
+            res = _estimate_inside(maha < c * c, lp_est, replace(base, radius=c), opts)
+        except (EmptyTruncationSet, DegenerateTerm):
             table.append((c, np.nan, np.nan))
             continue
         table.append((c, res.log_z, res.se_recip_rel))
@@ -269,6 +268,7 @@ def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = N
     if grid:
         table, e = _sweep(maha, lp, e, grid, opts)
 
+    inside = maha < e.radius * e.radius  # strict: boundary ties excluded
     ratio = None
     if opts.correction is not None:
         from .correction import estimate_volume_ratio
@@ -276,8 +276,8 @@ def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = N
         cfg = opts.correction
         ratio = estimate_volume_ratio(e, cfg.support, cfg.n_samples, cfg.seed,
                                       opts.ci_level)
-        maha[~cfg.support.contains(a)] = np.inf
-    return replace(_estimate_inside(maha, lp, e, opts, ratio), radius_table=table)
+        inside &= cfg.support.contains(a)
+    return _estimate_inside(inside, lp, e, opts, ratio, table)
 
 
 def empirical_scv(draws, log_post, c, opts: ThamesOptions = None):

@@ -25,12 +25,18 @@ from thames.cli import (
     main,
     parse_radius_policy,
     parse_support,
+    worker_count,
 )
 from thames.correction import ConstrainedCorrectionConfig, SupportPredicate
 from thames.errors import ParseError
 from thames.estimator import ThamesOptions, thames
 from thames.experiments import EXPERIMENTS
-from thames.models import GaussianMeanModel, gaussian_dataset
+from thames.models import (
+    DirMultModel,
+    GaussianMeanModel,
+    dirmult_dataset,
+    gaussian_dataset,
+)
 from thames.seeds import spawn_seed, splitmix64
 
 
@@ -39,8 +45,9 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def write_draw_csv(path, d=2, t=2000, seed=3, mangle=None):
-    model = GaussianMeanModel(1.0, gaussian_dataset(d, seed=seed))
+def write_draw_csv(path, d=2, t=2000, seed=3, mangle=None, model=None):
+    """Posterior draws of model, by default a d-dimensional GaussianMeanModel."""
+    model = model or GaussianMeanModel(1.0, gaussian_dataset(d, seed=seed))
     draws = model.posterior_sample(t, seed + 1)
     lp, ll = model.log_prior(draws), model.log_likelihood(draws)
     rows = [[format_float(v) for v in (*theta, a, b)]
@@ -49,7 +56,7 @@ def write_draw_csv(path, d=2, t=2000, seed=3, mangle=None):
         mangle(rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"theta_{i + 1}" for i in range(d)]
+        writer.writerow([f"theta_{i + 1}" for i in range(draws.shape[1])]
                         + ["log_prior", "log_likelihood"])
         writer.writerows(rows)
     return model
@@ -131,6 +138,20 @@ class TestLoadTable:
         assert code == 3
         error = json.loads(out)
         assert error["error"] == "parse" and error["line"] == 5
+        assert len(out.encode()) < 300  # a long token is quoted only in part
+
+    def test_long_bad_csv_field_gives_short_error(self, tmp_path, capsys):
+        path = str(tmp_path / "draws.csv")
+        with open(path, "w") as fh:
+            fh.write("theta_1,log_unnorm_posterior\n1.0,-1.0\n")
+            fh.write("x" * 100_000 + ",-2.0\n")
+        code, out = run_cli(capsys, "estimate", path)
+        assert code == 3
+        lines = out.splitlines()
+        assert len(lines) == 1 and len(out.encode()) < 300
+        error = json.loads(lines[0])
+        assert error["error"] == "parse" and error["line"] == 3
+        assert "100000 characters" in error["message"]
 
     def test_rejects_nonfinite_theta(self, tmp_path):
         path = str(tmp_path / "draws.csv")
@@ -381,6 +402,27 @@ class TestEstimateCommand:
             assert argv[-2] in json.loads(lines[0])["message"]
             assert not os.path.exists("unused")
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_bad_thames_threads_is_usage_error(self, capsys, tmp_path,
+                                               monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("THAMES_THREADS", value)
+        code, out = run_cli(capsys, "replicate", "gaussian-T", "--out", "unused")
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "usage" and "THAMES_THREADS" in error["message"]
+        assert not os.path.exists("unused")
+
+    @pytest.mark.parametrize("value, count", [(None, 1), ("", 1), ("3", 3)])
+    def test_thames_threads_default_is_one(self, monkeypatch, value, count):
+        if value is None:
+            monkeypatch.delenv("THAMES_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("THAMES_THREADS", value)
+        assert worker_count() == count
+
     def test_help_exit_code(self, capsys):
         code, out = run_cli(capsys, "estimate", "--help")
         assert code == 0
@@ -392,20 +434,26 @@ class TestEstimateCommand:
 
 
 class TestCorrectCommand:
-    def test_report_matches_library(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["unbounded", "positive", "box", "simplex"])
+    def test_report_matches_library(self, tmp_path, capsys, kind):
         path = str(tmp_path / "draws.csv")
-        write_draw_csv(path, t=1000)
+        model = None
+        if kind == "simplex":  # a posterior whose ellipsoid sticks out of S
+            model = DirMultModel(1.0, 2, dirmult_dataset([0.6, 0.3, 0.1], 10, 2, 5))
+        write_draw_csv(path, t=1000, model=model)
         draws, log_post = load_table(path)
         # a box that cuts the posterior through its mean in theta_1
         m = format_float(draws[:, 0].mean())
-        spec = f"box:{m}:1000,-1000:1000"
+        spec = {"unbounded": "unbounded", "positive": "positive:0,1",
+                "box": f"box:{m}:1000,-1000:1000", "simplex": "simplex"}[kind]
         cfg = ConstrainedCorrectionConfig(parse_support(spec), 5000, 11)
         code, out = run_cli(capsys, "correct", path, "--support", spec,
                             "--n", "5000", "--seed", "11", "--radius", "optimal")
         assert code == 0
         res = thames(draws, log_post, ThamesOptions(
             radius_policy=parse_radius_policy("optimal"), correction=cfg))
-        assert 0.0 < res.correction_ratio < 1.0
+        if kind in ("box", "simplex"):
+            assert 0.0 < res.correction_ratio < 1.0
         expected = {
             "log_z": res.log_z, "log_recip_z": res.log_recip_z,
             "ci_lower": res.ci_log_z[0], "ci_upper": res.ci_log_z[1],
@@ -431,6 +479,7 @@ class TestCorrectCommand:
         ["estimate", "--seed", "-1"],
         ["correct", "--support", "unbounded", "--n", "-5"],
         ["correct", "--support", "unbounded", "--ci", "nan"],
+        ["correct", "--support", "positive:0,-1"],
     ])
     def test_bad_option_fails_before_input_is_read(self, tmp_path, capsys, argv):
         path = str(tmp_path / "bad.csv")
@@ -447,7 +496,8 @@ class TestCorrectCommand:
     @pytest.mark.parametrize("spec", ["positive:2", "positive:-1", "box:0:1"])
     def test_support_of_wrong_dimension_names_the_flag(self, tmp_path, capsys,
                                                        spec):
-        # checked once the table, here of dimension 2, has been read
+        # positive:2 and box:0:1 are checked once the table, here of
+        # dimension 2, has been read; positive:-1 while flags are parsed
         path = str(tmp_path / "draws.csv")
         write_draw_csv(path, t=200)
         code, out = run_cli(capsys, "correct", path, "--support", spec)
@@ -474,9 +524,11 @@ class TestCorrectCommand:
         code, out = run_cli(capsys, "correct", path,
                             "--support", "box:1000:1001,1000:1001")
         assert code == 4
-        error = json.loads(out)
+        lines = out.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert list(error) == ["error", "message"]
         assert error["error"] == "numerical"
-        assert error["correction_ci_lower"] == 0.0
 
 
 def run_captured(argv):
