@@ -19,8 +19,7 @@ covariance, zero support overlap, zero-density draw inside the
 ellipsoid). Errors print a single JSON object to stdout.
 
 Output is deterministic: the same input file, flags, and seed produce
-byte-identical output, whatever THAMES_THREADS (the worker threads of
-``replicate``, default 1) is set to.
+byte-identical output.
 
 Start-up cost: no module of the package imports scipy when it is
 imported, and only two code paths import it when they run: ``scv``
@@ -78,6 +77,17 @@ def dump_report(fields, stream):
     """One flat JSON object, keys in insertion order, floats at 17 digits."""
     body = ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in fields.items())
     stream.write("{" + body + "}\n")
+
+
+def _write_csv(stream, header, rows):
+    """The header, then one line per row: strings as they are, integers
+    in decimal, every other value through format_float."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else
+                         str(v) if isinstance(v, (int, np.integer)) else
+                         format_float(v) for v in row])
 
 
 def emit_error(kind, message, stream, **extra):
@@ -176,7 +186,8 @@ def _utf8_lines(fh):
 
 
 def _rows_from_csv(path):
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig",
+              errors="surrogateescape") as fh:
         records = _csv_records(csv.reader(_utf8_lines(fh)))
         first = next(records, None)
         if first is None:
@@ -192,7 +203,7 @@ def _rows_from_csv(path):
 
 
 def _rows_from_jsonl(path):
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(_utf8_lines(fh), start=1):
             if not line.strip():
                 continue
@@ -238,7 +249,7 @@ def _load_csv_columns(path):
     from the first row's; with usecols it would drop extra fields
     silently. Unused columns go through a converter that ignores them.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh), None)
         except (csv.Error, UnicodeDecodeError):
@@ -283,7 +294,9 @@ def load_table(path):
 
     CSV with a header row by default; JSONL when the extension is
     .jsonl. Rows with a chain column are concatenated in file order.
-    Separate log_prior/log_likelihood columns are summed.
+    Separate log_prior/log_likelihood columns are summed. A UTF-8
+    byte-order mark at the start of the file, as Excel and PowerShell
+    write, is skipped.
 
     CSV is parsed in one vectorized pass. Any input that pass cannot
     settle (a bad value, a ragged row, a token float() accepts and
@@ -359,14 +372,6 @@ def _checked(convert, check):
     return parse
 
 
-def worker_count():
-    """THAMES_THREADS, an int >= 1; 1 when it is unset or empty."""
-    raw = os.environ.get("THAMES_THREADS") or "1"
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise InvalidInput(f"THAMES_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
 # ---------------------------------------------------------------------------
 # estimate / correct
 # ---------------------------------------------------------------------------
@@ -414,6 +419,7 @@ def cmd_estimate(args, stdout):
     if result.correction_ci is not None:
         report["correction_ci_lower"], report["correction_ci_upper"] = \
             result.correction_ci
+        report["n_outside_support"] = result.n_outside_support
     dump_report(report, stdout)
     return 0
 
@@ -447,15 +453,10 @@ def cmd_scv(args, stdout):
         hpd = gammainc(0.5 * d, 0.5 * opt.c_d ** 2)
         for spec, policy in args.policies:
             c = resolve_radius(policy, d)
-            rows.append([str(d), spec] + [
-                format_float(v)
-                for v in (c, scv_normal(d, c), opt.c_d, opt.l_d,
-                          opt.scv_at_opt, lower, upper, hpd)
-            ])
-    writer = csv.writer(stdout, lineterminator="\n")
-    writer.writerow(["d", "policy", "c", "scv", "c_d", "L_d", "scv_opt",
-                     "lower_bound", "upper_bound", "hpd_mass"])
-    writer.writerows(rows)
+            rows.append((d, spec, c, scv_normal(d, c), opt.c_d, opt.l_d,
+                         opt.scv_at_opt, lower, upper, hpd))
+    _write_csv(stdout, ["d", "policy", "c", "scv", "c_d", "L_d", "scv_opt",
+                        "lower_bound", "upper_bound", "hpd_mass"], rows)
     return 0
 
 
@@ -469,22 +470,12 @@ def _check_reps(reps):
         raise InvalidInput(f"replication count must be >= 1, got {reps}")
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else
-                             str(v) if isinstance(v, (int, np.integer)) else
-                             format_float(v) for v in row])
-
-
 def cmd_replicate(args, stdout):
     _, name, header = experiments.EXPERIMENTS[args.experiment]
-    threads = worker_count()  # a bad value fails before --out is created
     os.makedirs(args.out, exist_ok=True)
-    rows = experiments.run(args.experiment, args.seed, args.reps, threads)
-    _write_csv(os.path.join(args.out, name), header, rows)
+    rows = experiments.run(args.experiment, args.seed, args.reps)
+    with open(os.path.join(args.out, name), "w", newline="") as fh:
+        _write_csv(fh, header, rows)
     return 0
 
 

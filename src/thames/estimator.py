@@ -80,6 +80,7 @@ class ThamesResult:
     correction_ratio: float = None
     correction_ci: tuple = None  # (lower, upper) CI of the volume ratio
     radius_table: tuple = None  # grid policy: (c, log_z, se_recip_rel) rows
+    n_outside_support: int = None  # correction: estimation draws outside S
 
 
 def _split_index(t):
@@ -160,15 +161,16 @@ def harmonic_mean_log_z(log_likelihoods):
 
 
 def _estimate_inside(inside, log_post_est, e, opts: ThamesOptions, ratio=None,
-                     table=None):
+                     table=None, n_outside=None):
     """The estimate for ellipsoid e over the estimation draws that inside
     flags, those strictly inside e; table is the grid table, if any.
 
     ratio, when given, is (R_hat, its CI) for the support S of
-    opts.correction; the truncation set is then A intersect S, so inside
-    must be False for every draw outside S, and V(A intersect S) is
-    V(A) * R_hat. The Monte Carlo variance of R_hat, (1 - R)/(n R) on
-    the relative scale, adds to that of the sum.
+    opts.correction, and n_outside the number of estimation draws outside
+    S; the truncation set is then A intersect S, so inside must be False
+    for every draw outside S, and V(A intersect S) is V(A) * R_hat. The
+    Monte Carlo variance of R_hat, (1 - R)/(n R) on the relative scale,
+    adds to that of the sum.
     """
     n_inside = int(np.count_nonzero(inside))
     if n_inside == 0:
@@ -209,6 +211,7 @@ def _estimate_inside(inside, log_post_est, e, opts: ThamesOptions, ratio=None,
         correction_ratio=r_hat,
         correction_ci=r_ci,
         radius_table=table,
+        n_outside_support=n_outside,
     )
 
 
@@ -269,15 +272,17 @@ def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = N
         table, e = _sweep(maha, lp, e, grid, opts)
 
     inside = maha < e.radius * e.radius  # strict: boundary ties excluded
-    ratio = None
+    ratio = n_outside = None
     if opts.correction is not None:
         from .correction import estimate_volume_ratio
 
         cfg = opts.correction
         ratio = estimate_volume_ratio(e, cfg.support, cfg.n_samples, cfg.seed,
                                       opts.ci_level)
-        inside &= cfg.support.contains(a)
-    return _estimate_inside(inside, lp, e, opts, ratio, table)
+        in_support = cfg.support.contains(a)
+        n_outside = in_support.size - int(np.count_nonzero(in_support))
+        inside &= in_support
+    return _estimate_inside(inside, lp, e, opts, ratio, table, n_outside)
 
 
 def empirical_scv(draws, log_post, c, opts: ThamesOptions = None):

@@ -1,10 +1,13 @@
 """The built-in replication experiments behind ``thames replicate``.
 
 Each experiment is a task builder ``(seed, reps) -> [task]``; a task
-takes no arguments and returns its own CSV rows. ``EXPERIMENTS`` lists
-each builder with its CSV name and header, and ``run`` returns the rows
-in memory, in task order. Every task draws from its own spawn_seed
-streams, so the rows do not depend on the number of threads.
+takes no arguments, runs one setting and returns its CSV rows.
+``EXPERIMENTS`` lists each builder with its CSV name and header, and
+``run`` runs the tasks one after another and returns the rows in memory,
+in task order. A setting's draws live only inside its task, so they are
+freed before the next setting is drawn: one generator of rows for a
+whole experiment held two settings' draws at once and raised the peak
+RSS of ``replicate``.
 
 The estimator and the models are called through their modules, so a
 wrapper set on a module attribute, such as a tracing span, sees every call.
@@ -162,15 +165,6 @@ EXPERIMENTS = {
 }
 
 
-def run(name, seed, reps, threads):
-    """The rows of experiment name, in task order, with its tasks spread
-    over at most threads worker threads (1: run them in this thread)."""
-    tasks = EXPERIMENTS[name][0](seed, reps)
-    if threads <= 1:
-        chunks = [task() for task in tasks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda task: task(), tasks))
-    return [row for chunk in chunks for row in chunk]
+def run(name, seed, reps):
+    """The rows of experiment name, in task order."""
+    return [row for task in EXPERIMENTS[name][0](seed, reps) for row in task()]

@@ -20,12 +20,12 @@ from thames import radius
 from thames.cli import (
     _load_csv_columns,
     _load_table_rows,
+    _write_csv,
     format_float,
     load_table,
     main,
     parse_radius_policy,
     parse_support,
-    worker_count,
 )
 from thames.correction import ConstrainedCorrectionConfig, SupportPredicate
 from thames.errors import ParseError
@@ -84,6 +84,16 @@ class TestFloatFormatting:
         assert format_float(float("inf")) == "inf"
         assert format_float(float("-inf")) == "-inf"
         assert format_float(float("nan")) == "nan"
+
+    def test_csv_writer_value_types(self):
+        # scv and replicate write every row through this one writer
+        buf = io.StringIO()
+        _write_csv(buf, ["s", "i", "n", "f", "g", "nan", "inf"],
+                   [("a,b", 3, np.int64(-4), 0.1, np.float64(1e300),
+                     float("nan"), -math.inf)])
+        assert buf.getvalue() == (
+            "s,i,n,f,g,nan,inf\n"
+            '"a,b",3,-4,0.10000000000000001,1.0000000000000001e+300,nan,-inf\n')
 
 
 class TestLoadTable:
@@ -181,6 +191,28 @@ class TestLoadTable:
         assert code == 3
         assert json.loads(out) == {"error": "parse", "line": line,
                                    "message": "invalid UTF-8 byte 0xff"}
+
+    @pytest.mark.parametrize("name, text, vectorized", [
+        ("draws.csv", "theta_1,theta_2,log_unnorm_posterior\n1,2,-3\n4,5,-6\n",
+         True),
+        ("draws.csv", "theta_1,theta_2,log_unnorm_posterior\n1_0,2,-3\n4,5,-6\n",
+         False),
+        ("draws.jsonl",
+         '{"theta_1": 1, "theta_2": 2, "log_unnorm_posterior": -3}\n'
+         '{"theta_1": 4, "theta_2": 5, "log_unnorm_posterior": -6}\n', False),
+    ], ids=["csv", "csv through the row parser", "jsonl"])
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, name, text,
+                                             vectorized):
+        # Excel and PowerShell start a UTF-8 file with one
+        plain, marked = str(tmp_path / name), str(tmp_path / f"bom-{name}")
+        with open(plain, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with open(marked, "w", encoding="utf-8-sig", newline="") as fh:
+            fh.write(text)
+        if name.endswith(".csv"):
+            assert (_load_csv_columns(marked) is not None) == vectorized
+        for a, b in zip(load_table(marked), load_table(plain)):
+            assert a.tobytes() == b.tobytes()
 
 
 H2 = "theta_1,log_unnorm_posterior\n"
@@ -402,27 +434,6 @@ class TestEstimateCommand:
             assert argv[-2] in json.loads(lines[0])["message"]
             assert not os.path.exists("unused")
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-    def test_bad_thames_threads_is_usage_error(self, capsys, tmp_path,
-                                               monkeypatch, value):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("THAMES_THREADS", value)
-        code, out = run_cli(capsys, "replicate", "gaussian-T", "--out", "unused")
-        assert code == 2
-        lines = out.splitlines()
-        assert len(lines) == 1
-        error = json.loads(lines[0])
-        assert error["error"] == "usage" and "THAMES_THREADS" in error["message"]
-        assert not os.path.exists("unused")
-
-    @pytest.mark.parametrize("value, count", [(None, 1), ("", 1), ("3", 3)])
-    def test_thames_threads_default_is_one(self, monkeypatch, value, count):
-        if value is None:
-            monkeypatch.delenv("THAMES_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("THAMES_THREADS", value)
-        assert worker_count() == count
-
     def test_help_exit_code(self, capsys):
         code, out = run_cli(capsys, "estimate", "--help")
         assert code == 0
@@ -464,7 +475,11 @@ class TestCorrectCommand:
             "input_checksum": json.loads(out)["input_checksum"],
             "correction_ci_lower": res.correction_ci[0],
             "correction_ci_upper": res.correction_ci[1],
+            "n_outside_support": res.n_outside_support,
         }
+        estimation = draws[len(draws) // 2:]
+        assert res.n_outside_support == int(
+            np.count_nonzero(~cfg.support.contains(estimation)))
         report = json.loads(out)
         assert list(report) == list(expected)
         assert report == expected
@@ -790,16 +805,26 @@ class TestReplicateCommand:
         assert abs(float(final["thames_log_z"]) - exact) < 0.2
 
     @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
-    def test_thread_fanout_matches_serial(self, tmp_path, capsys, monkeypatch,
-                                          experiment):
-        out_serial, out_threaded = tmp_path / "s", tmp_path / "t"
+    def test_rerun_is_byte_identical(self, tmp_path, capsys, experiment):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
         argv = ["replicate", experiment, "--reps", "2"]
-        monkeypatch.delenv("THAMES_THREADS", raising=False)
-        assert run_cli(capsys, *argv, "--out", str(out_serial))[0] == 0
-        monkeypatch.setenv("THAMES_THREADS", "4")
-        assert run_cli(capsys, *argv, "--out", str(out_threaded))[0] == 0
+        assert run_cli(capsys, *argv, "--out", str(out_a))[0] == 0
+        assert run_cli(capsys, *argv, "--out", str(out_b))[0] == 0
         name = EXPERIMENTS[experiment][1]
-        assert (out_serial / name).read_bytes() == (out_threaded / name).read_bytes()
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_thames_threads_is_not_read(self, tmp_path, capsys, monkeypatch,
+                                        value):
+        # no value of the variable fails the run or changes a byte of the CSV
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        argv = ["replicate", "gaussian-d", "--reps", "1"]
+        monkeypatch.delenv("THAMES_THREADS", raising=False)
+        assert run_cli(capsys, *argv, "--out", str(out_a))[0] == 0
+        monkeypatch.setenv("THAMES_THREADS", value)
+        assert run_cli(capsys, *argv, "--out", str(out_b))[0] == 0
+        name = EXPERIMENTS["gaussian-d"][1]
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_prostate_ranking(self, tmp_path, capsys):
         code, _ = run_cli(capsys, "replicate", "prostate", "--out", str(tmp_path))

@@ -358,8 +358,10 @@ class TestApplyCorrection:
     def test_ratio_one_is_identity(self):
         plain, res = corrected(SupportPredicate.unbounded())
         assert res.correction_ratio == 1.0 and res.correction_ci == (1.0, 1.0)
+        assert res.n_outside_support == 0
         for f in fields(res):
-            if f.name not in ("ellipsoid", "correction_ratio", "correction_ci"):
+            if f.name not in ("ellipsoid", "correction_ratio", "correction_ci",
+                              "n_outside_support"):
                 assert getattr(res, f.name) == getattr(plain, f.name), f.name
 
     def test_rejects_out_of_range(self):
@@ -437,6 +439,8 @@ class TestEstimatorIntegration:
         assert auto.correction_ci == r_ci
         assert plain.correction_ci is None
         assert in_s.all() != cut
+        assert auto.n_outside_support == (int((~in_s).sum()) if cut else 0)
+        assert plain.n_outside_support is None
         if cut:
             assert auto.n_inside < plain.n_inside
         else:
