@@ -34,6 +34,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -277,6 +278,52 @@ def _load_csv_columns(path):
             return None
     if table.shape[0] == 0 or table.shape[1] != len(names):
         return None
+    return _checked_columns(table, theta_idx, density_idx)
+
+
+def _load_jsonl_columns(path):
+    """json.loads per line and one array conversion, or None to defer to
+    the row parser.
+
+    Only plain JSON numbers are settled here: a string that float()
+    reads, a bad value, a missing column or a line that is not a JSON
+    object goes to the row parser, which returns the same arrays or
+    raises the ParseError with its line number. json.loads gives a
+    number as an int or a float, and numpy converts an int as float()
+    does.
+    """
+    values, pick = [], None
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for line in fh:
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+                if type(record) is not dict:
+                    return None
+                if pick is None:
+                    theta_names, density_names = _classify_columns(list(record))
+                    names = theta_names + density_names
+                    pick = operator.itemgetter(*names)  # >= 2 names: a tuple
+                values.extend(pick(record))
+    # ValueError includes JSONDecodeError and UnicodeDecodeError; a deeply
+    # nested line raises RecursionError
+    except (ValueError, RecursionError, KeyError, ParseError):
+        return None
+    if pick is None or not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        table = np.array(values, dtype=float).reshape(-1, len(names))
+    except OverflowError:  # an integer beyond the float range
+        return None
+    d = len(theta_names)
+    return _checked_columns(table, range(d), range(d, len(names)))
+
+
+def _checked_columns(table, theta_idx, density_idx):
+    """(draws, log_post) from the theta and density columns of a parsed
+    table, or None when a theta is not finite or a density is NaN or
+    +inf, so that the row parser reports the line."""
     draws = table.take(theta_idx, axis=1)  # C-contiguous, unlike table[:, idx]
     density = table.take(density_idx, axis=1)
     if (not np.isfinite(draws).all() or np.isnan(density).any()
@@ -298,15 +345,17 @@ def load_table(path):
     byte-order mark at the start of the file, as Excel and PowerShell
     write, is skipped.
 
-    CSV is parsed in one vectorized pass. Any input that pass cannot
+    CSV is parsed in one vectorized pass, and JSONL by json.loads per
+    line with one array conversion. Any input the fast pass cannot
     settle (a bad value, a ragged row, a token float() accepts and
-    loadtxt does not, such as 1_0) goes to the row parser, which returns
-    the same arrays or raises the ParseError with its line number.
+    loadtxt does not, such as 1_0, a JSONL value given as a string) goes
+    to the row parser, which returns the same arrays or raises the
+    ParseError with its line number.
     """
-    if not path.endswith(".jsonl"):
-        tables = _load_csv_columns(path)
-        if tables is not None:
-            return tables
+    fast = _load_jsonl_columns if path.endswith(".jsonl") else _load_csv_columns
+    tables = fast(path)
+    if tables is not None:
+        return tables
     return _load_table_rows(path)
 
 

@@ -7,10 +7,20 @@ Monte Carlo sampling inside the ellipsoid.
 
 Sampling uses the counter-based Philox generator, so a 64-bit seed fully
 determines the draw; parallel replications should derive per-replication
-seeds with seeds.spawn_seed.
+seeds with seeds.spawn_seed. The sample is drawn in blocks of
+_BLOCK_ROWS points, and block b draws from the seed's Philox stream
+jumped b times (by 2^128 draws each), so blocks are independent streams:
+one filler thread draws the next block's normals and uniforms while the
+calling thread maps the current block into the ellipsoid and counts it.
+The count is a sum over fixed blocks, so R does not depend on whether
+the filler ran, and a support's contains() only ever runs on the
+calling thread.
 """
 
 import operator
+import os
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,28 +144,75 @@ class ConstrainedCorrectionConfig:
 _BLOCK_ROWS = 1 << 14
 
 
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def _fill(gen, g, u):
+    """Draw a block's normals into g, then its uniforms into u; numpy
+    releases the GIL for both."""
+    gen.standard_normal(out=g)
+    gen.random(out=u)
+
+
+def _into_ellipsoid(e: Ellipsoid, g, u):
+    """Map normals g and uniforms u to points center + (g @ scale.T) *
+    (r / |g|), with radius r = c * u^(1/d)."""
+    r = e.radius * u ** (1.0 / e.dim)
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    norms[norms == 0.0] = 1.0  # measure-zero guard
+    pts = g @ e.scale.T
+    pts *= (r / norms)[:, None]
+    pts += e.center
+    return pts
+
+
+def _mapped(e: Ellipsoid, filled, g, u):
+    """Wait for a block's fill, then map it into the ellipsoid; g and u
+    are freed on return rather than held across the caller's yield."""
+    filled.result()
+    return _into_ellipsoid(e, g, u)
+
+
 def _uniform_blocks(e: Ellipsoid, n, seed):
     """Yield n iid uniform points in the open ellipsoid, _BLOCK_ROWS rows
     at a time, deterministic per seed.
 
     Direction from a normalized Gaussian vector, radius from c * u^(1/d).
-    Each block draws its normals g, then its radii r, from the seed's one
-    Philox stream and maps them to center + (g @ scale.T) * (r / |g|), so
-    the points for a seed depend on _BLOCK_ROWS.
+    Block b draws its normals, then its uniforms, from
+    Generator(Philox(key=seed).jumped(b)); block 0 is the seed's own
+    stream. The calling thread builds every generator and buffer; one
+    filler thread fills block b + 1 while the caller maps and counts
+    block b. The fill is about two thirds of a block's cost, so the
+    caller's share hides behind it, and a fixed number of blocks is held
+    whatever the host. With one usable CPU or one block nothing is
+    started. Close the generator to stop the filler early.
     """
     _check_sample_count(n)
-    rng = _rng(seed)
+    bits = _rng(seed).bit_generator
     d = e.dim
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, n - start)
-        g = rng.standard_normal((rows, d))
-        r = e.radius * rng.random(rows) ** (1.0 / d)
-        norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-        norms[norms == 0.0] = 1.0  # measure-zero guard
-        pts = g @ e.scale.T
-        pts *= (r / norms)[:, None]
-        pts += e.center
-        yield pts
+    blocks = ((np.random.Generator(bits.jumped(b)), np.empty((rows, d)),
+               np.empty(rows))
+              for b, rows in enumerate(min(_BLOCK_ROWS, n - s)
+                                       for s in range(0, n, _BLOCK_ROWS)))
+    if n <= _BLOCK_ROWS or _cpu_count() == 1:
+        for gen, g, u in blocks:
+            _fill(gen, g, u)
+            yield _into_ellipsoid(e, g, u)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as filler:
+        pending = deque()
+        for gen, g, u in blocks:
+            pending.append((filler.submit(_fill, gen, g, u), g, u))
+            if len(pending) == 2:
+                yield _mapped(e, *pending.popleft())
+        yield _mapped(e, *pending.popleft())
 
 
 def estimate_volume_ratio(e: Ellipsoid, support: SupportPredicate, n, seed,
@@ -163,13 +220,18 @@ def estimate_volume_ratio(e: Ellipsoid, support: SupportPredicate, n, seed,
     """Monte Carlo volume ratio R_hat with a normal-approximation CI.
 
     The points of _uniform_blocks(e, n, seed) are counted block by
-    block, so memory does not grow with n. Raises ZeroSupportOverlap when
+    block, so memory does not grow with n; an unbounded support draws
+    nothing and gives exactly 1. Raises ZeroSupportOverlap when
     no sample lands in the support, since dividing by R_hat = 0 is
     undefined.
     """
     _check_level(ci_level)
-    hits = sum(np.count_nonzero(support.contains(pts))
-               for pts in _uniform_blocks(e, n, seed))
+    if support.kind == "unbounded":  # every point is inside: R is exactly 1
+        _check_sample_count(n)
+        _check_seed(seed)
+        return 1.0, (1.0, 1.0)
+    with closing(_uniform_blocks(e, n, seed)) as blocks:
+        hits = sum(np.count_nonzero(support.contains(pts)) for pts in blocks)
     if hits == 0:
         raise ZeroSupportOverlap(
             "no uniform sample fell inside the support; increase n or check "

@@ -19,6 +19,7 @@ from scipy import special
 from thames import radius
 from thames.cli import (
     _load_csv_columns,
+    _load_jsonl_columns,
     _load_table_rows,
     _write_csv,
     format_float,
@@ -199,7 +200,7 @@ class TestLoadTable:
          False),
         ("draws.jsonl",
          '{"theta_1": 1, "theta_2": 2, "log_unnorm_posterior": -3}\n'
-         '{"theta_1": 4, "theta_2": 5, "log_unnorm_posterior": -6}\n', False),
+         '{"theta_1": 4, "theta_2": 5, "log_unnorm_posterior": -6}\n', True),
     ], ids=["csv", "csv through the row parser", "jsonl"])
     def test_utf8_byte_order_mark_is_skipped(self, tmp_path, name, text,
                                              vectorized):
@@ -209,8 +210,8 @@ class TestLoadTable:
             fh.write(text)
         with open(marked, "w", encoding="utf-8-sig", newline="") as fh:
             fh.write(text)
-        if name.endswith(".csv"):
-            assert (_load_csv_columns(marked) is not None) == vectorized
+        fast = _load_jsonl_columns if name.endswith(".jsonl") else _load_csv_columns
+        assert (fast(marked) is not None) == vectorized
         for a, b in zip(load_table(marked), load_table(plain)):
             assert a.tobytes() == b.tobytes()
 
@@ -264,6 +265,52 @@ INGEST_CASES = [
 ]
 
 
+J2 = '{"theta_1": 1, "log_unnorm_posterior": -2}\n'
+
+# as INGEST_CASES, for JSONL: only plain JSON numbers are settled without
+# the row parser
+JSONL_INGEST_CASES = [
+    ("ints and floats",
+     J2 + '{"theta_1": 0.5, "log_unnorm_posterior": -2.5e-3}\n', True),
+    ("reordered and extra keys, prior and likelihood",
+     '{"chain": "a", "log_likelihood": -1.5, "theta_2": 0.2, '
+     '"log_prior": -0.5, "theta_1": 0.1}\n'
+     '{"theta_1": -0.4, "log_prior": -0.25, "theta_2": 0.3, '
+     '"log_likelihood": -2.5, "note": [1, {"x": null}]}\n', True),
+    ("duplicated key, last wins",
+     '{"theta_1": "abc", "theta_1": 0.5, "log_unnorm_posterior": -1}\n', True),
+    ("blank, whitespace-only and CRLF lines",
+     J2 + "\n   \n\t\r\n" + J2.replace("\n", "\r\n"), True),
+    ("-Infinity log_prior",
+     '{"theta_1": 1, "log_prior": -Infinity, "log_likelihood": -2}\n', True),
+    ("negative zero density sums to positive zero",
+     '{"theta_1": 1, "log_prior": -0.0, "log_likelihood": -0.0}\n', True),
+    ("integers past 2**63",
+     '{"theta_1": 9223372036854775809, "log_unnorm_posterior": '
+     '-36893488147419103233}\n', True),
+    ("strings float() reads",
+     '{"theta_1": "1.5", "log_unnorm_posterior": "-inf"}\n', False),
+    ("true theta on line 2",
+     J2 + '{"theta_1": true, "log_unnorm_posterior": -1}\n', False),
+    ("null density", '{"theta_1": 1, "log_unnorm_posterior": null}\n', False),
+    ("NaN theta", J2 + '{"theta_1": NaN, "log_unnorm_posterior": -1}\n', False),
+    ("Infinity density",
+     J2 + '{"theta_1": 1, "log_unnorm_posterior": Infinity}\n', False),
+    ("1e400 theta", J2 + '{"theta_1": 1e400, "log_unnorm_posterior": -1}\n',
+     False),
+    ("400-digit integer",
+     J2 + '{"theta_1": ' + "9" * 400 + ', "log_unnorm_posterior": -1}\n', False),
+    ("list value", J2 + '{"theta_1": [1], "log_unnorm_posterior": -1}\n', False),
+    ("line that is not an object", J2 + "[1, -2]\n", False),
+    ("invalid JSON on line 2", J2 + '{"theta_1": 1,}\n', False),
+    ("missing column on line 3",
+     J2 + J2 + '{"theta_1": 1, "log_prior": -1}\n', False),
+    ("no density columns", '{"theta_1": 1, "other": 2}\n', False),
+    ("only blank lines", "\n \n", False),
+    ("empty file", "", False),
+]
+
+
 class TestVectorizedIngest:
     """load_table must agree with the row parser it replaces on every input."""
 
@@ -271,10 +318,21 @@ class TestVectorizedIngest:
                              [case[1:] for case in INGEST_CASES],
                              ids=[case[0] for case in INGEST_CASES])
     def test_matches_row_parser(self, tmp_path, capsys, text, vectorized):
-        path = str(tmp_path / "draws.csv")
+        self.check(capsys, str(tmp_path / "draws.csv"), _load_csv_columns, text,
+                   vectorized)
+
+    @pytest.mark.parametrize("text, vectorized",
+                             [case[1:] for case in JSONL_INGEST_CASES],
+                             ids=[case[0] for case in JSONL_INGEST_CASES])
+    def test_jsonl_matches_row_parser(self, tmp_path, capsys, text, vectorized):
+        self.check(capsys, str(tmp_path / "draws.jsonl"), _load_jsonl_columns,
+                   text, vectorized)
+
+    @staticmethod
+    def check(capsys, path, fast, text, vectorized):
         with open(path, "w", newline="") as fh:
             fh.write(text)
-        assert (_load_csv_columns(path) is not None) == vectorized
+        assert (fast(path) is not None) == vectorized
         try:
             expected = _load_table_rows(path)
         except ParseError as exc:
@@ -298,6 +356,16 @@ class TestVectorizedIngest:
         assert fast is not None
         for a, b in zip(fast, _load_table_rows(path)):
             assert a.tobytes() == b.tobytes()
+
+    def test_generated_jsonl_is_vectorized_and_identical(self, tmp_path):
+        path = str(tmp_path / "draws.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(draw_table_bytes(jsonl=True, t=3000))
+        fast = _load_jsonl_columns(path)
+        assert fast is not None
+        for a, b in zip(fast, _load_table_rows(path)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.flags["C_CONTIGUOUS"]
 
 
 class TestFlagParsing:
@@ -846,9 +914,9 @@ class TestStartupImports:
             import json, sys
             from thames.cli import main
 
-            def scipy_modules():
+            def loaded(package):
                 return sorted(m for m in sys.modules
-                              if m == "scipy" or m.startswith("scipy."))
+                              if m == package or m.startswith(package + "."))
 
             runs = [
                 ["estimate", {path!r}],
@@ -860,12 +928,14 @@ class TestStartupImports:
                 ["replicate", "dirmult", "--reps", "1", "--out", {str(tmp_path)!r}],
             ]
             codes = [main(argv) for argv in runs]
-            before = scipy_modules()
+            before = loaded("scipy")
+            # a one-block volume ratio starts no thread pool
+            futures = loaded("concurrent.futures")
             # scv needs the regularized gamma function, and imports it when it runs
             codes.append(main(["scv", "--dmax", "3"]))
             with open({report!r}, "w") as fh:
-                json.dump({{"codes": codes, "before": before,
-                           "after": scipy_modules()}}, fh)
+                json.dump({{"codes": codes, "before": before, "futures": futures,
+                           "after": loaded("scipy")}}, fh)
         """)
         src = os.path.dirname(os.path.dirname(radius.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -875,6 +945,7 @@ class TestStartupImports:
             result = json.load(fh)
         assert result["codes"] == [0] * 8
         assert result["before"] == []
+        assert result["futures"] == []
         assert "scipy.special" in result["after"]
         assert not [m for m in result["after"] if m.startswith("scipy.optimize")]
 

@@ -1,6 +1,8 @@
 """Constrained-support correction: predicates, uniform sampling, volume ratio."""
 
 import math
+import os
+import threading
 import tracemalloc
 
 from dataclasses import fields, replace
@@ -221,12 +223,14 @@ class TestUniformSampling:
         scale = np.tril(rng.standard_normal((d, d)))
         np.fill_diagonal(scale, 1.0 + rng.random(d))
         e = Ellipsoid(rng.standard_normal(d), scale, math.sqrt(d + 1.0))
-        # the reference stream: each block of _BLOCK_ROWS rows draws its
-        # normals, then its radii, and maps them with the whole-block formula
-        gen = np.random.Generator(np.random.Philox(key=np.uint64(17)))
+        # the reference stream: block b of _BLOCK_ROWS rows draws its
+        # normals, then its radii, from the seed's Philox stream jumped b
+        # times, and maps them with the whole-block formula
+        bits = np.random.Philox(key=np.uint64(17))
         blocks = []
-        for start in range(0, n, _BLOCK_ROWS):
+        for b, start in enumerate(range(0, n, _BLOCK_ROWS)):
             rows = min(_BLOCK_ROWS, n - start)
+            gen = np.random.Generator(bits.jumped(b))
             g = gen.standard_normal((rows, d))
             r = e.radius * gen.random(rows) ** (1.0 / d)
             norms = np.sqrt(np.einsum("ij,ij->i", g, g))
@@ -265,6 +269,19 @@ class TestVolumeRatio:
                                           100, seed=0)
         assert r_hat == 1.0 and ci == (1.0, 1.0)
 
+    def test_unbounded_draws_nothing(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("an unbounded support drew a sample")
+
+        monkeypatch.setattr("thames.correction._uniform_blocks", no_sampling)
+        e = Ellipsoid(np.zeros(3), np.eye(3), 1.0)
+        unbounded = SupportPredicate.unbounded()
+        assert estimate_volume_ratio(e, unbounded, 10 ** 9, seed=0) == (
+            1.0, (1.0, 1.0))
+        for n, seed in [(0, 0), (100, -1)]:  # the count and seed are checked
+            with pytest.raises(InvalidInput):
+                estimate_volume_ratio(e, unbounded, n, seed)
+
     def test_zero_overlap_raises(self):
         # at R_hat = 0 the interval would be [0, 0]: the error carries none
         e = Ellipsoid(np.full(2, -100.0), np.eye(2), 1.0)
@@ -290,6 +307,59 @@ class TestVolumeRatio:
         pts = sample_uniform(e, n, seed=5)
         assert r_hat == support.contains(pts).mean()
 
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_same_ratio_whatever_the_cpu_count(self, cpus, monkeypatch):
+        # block b draws from its own jumped stream, so how many threads
+        # fill the blocks changes neither the points nor the count
+        e = Ellipsoid(np.array([0.3, -0.2, 0.1]), np.eye(3), 1.5)
+        support = SupportPredicate.positive_orthant([0, 2])
+        n = 3 * _BLOCK_ROWS + 5
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        serial = estimate_volume_ratio(e, support, n, seed=5)
+        points = sample_uniform(e, n, seed=5)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert estimate_volume_ratio(e, support, n, seed=5) == serial
+        assert np.array_equal(sample_uniform(e, n, seed=5), points)
+
+    def test_callback_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        baseline = threading.active_count()
+        callers, running = set(), []
+
+        def positive(pts):
+            callers.add(threading.get_ident())
+            running.append(threading.active_count())
+            return pts[:, 0] > 0.0
+
+        e = Ellipsoid(np.zeros(2), np.eye(2), 1.0)
+        estimate_volume_ratio(e, SupportPredicate.callback(positive),
+                              3 * _BLOCK_ROWS + 5, seed=1)
+        assert callers == {threading.get_ident()}
+        assert len(running) == 4 and max(running) > baseline  # a pool ran
+        assert threading.active_count() == baseline
+
+    def test_callback_error_stops_the_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        baseline = threading.active_count()
+        calls = []
+
+        def failing(pts):
+            calls.append(len(pts))
+            if len(calls) == 2:
+                raise RuntimeError("support callback failed")
+            return pts[:, 0] > 0.0
+
+        e = Ellipsoid(np.zeros(2), np.eye(2), 1.0)
+        with pytest.raises(RuntimeError, match="support callback failed"):
+            estimate_volume_ratio(e, SupportPredicate.callback(failing),
+                                  10 * _BLOCK_ROWS, seed=1)
+        assert len(calls) == 2
+        assert threading.active_count() == baseline
+
     def test_memory_does_not_grow_with_n(self):
         # the whole 10**6 x 10 sample alone would take 80 MB
         d = 10
@@ -302,6 +372,31 @@ class TestVolumeRatio:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_memory_does_not_grow_with_the_cpu_count(self, monkeypatch):
+        # one filler thread whatever the host: a pool per CPU would hold
+        # 62 blocks of 1.4 MB here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        d = 10
+        e = Ellipsoid(np.full(d, 0.2), np.eye(d), math.sqrt(d + 1.0))
+        support = SupportPredicate.positive_orthant(range(d))
+        baseline = threading.active_count()
+        running = []
+
+        def positive(pts):
+            running.append(threading.active_count())
+            return support.contains(pts)
+
+        tracemalloc.start()
+        try:
+            estimate_volume_ratio(e, SupportPredicate.callback(positive),
+                                  1_000_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert max(running) == baseline + 1
 
     def test_quarter_plane_oracle(self):
         # orthant through the center of a spherical ellipsoid: ratio 1/4
