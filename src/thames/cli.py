@@ -213,6 +213,9 @@ def _rows_from_jsonl(path):
             except ValueError as exc:  # JSONDecodeError, or an integer too long
                 msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
                 raise ParseError(f"invalid JSON: {msg}", line=line_no)
+            except RecursionError:
+                raise ParseError("invalid JSON: nested too deeply",
+                                 line=line_no) from None
             if not isinstance(record, dict):
                 raise ParseError("each line must be a JSON object", line=line_no)
             yield line_no, record

@@ -5,6 +5,10 @@ space; this module provides the geometric primitives (moment estimates,
 Cholesky factors, Mahalanobis distances, ellipsoid volumes) they rest on.
 Everything here is a pure function over immutable inputs. The module
 needs only numpy and the standard library.
+
+The moment fit and the distances each take one pass over the draws,
+_BLOCK_ROWS rows at a time, so beyond its input neither makes more than
+a length-T vector and one block's worth of temporaries.
 """
 
 import math
@@ -15,8 +19,9 @@ import numpy as np
 from .errors import InvalidInput, NotPositiveDefinite
 
 SYMMETRY_RTOL = 1e-10
-# rows per block of the standardizing product, so its temporaries stay a
-# few MB whatever T is
+# rows per block of the moment fit and of the distances, so their
+# temporaries stay a few MB whatever T is; 2048 rows of d = 100 fit in
+# cache, and 8192 ran slower
 _BLOCK_ROWS = 2048
 
 
@@ -30,7 +35,11 @@ def as_draw_matrix(draws, min_rows=1):
     t, d = a.shape
     if t < min_rows or d < 1:
         raise InvalidInput(f"draw matrix of shape {a.shape} is too small")
-    if not np.all(np.isfinite(a)):
+    # a sum is finite only if every entry is; the elementwise test, which
+    # makes a T x d temporary, runs only for a bad entry or an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum()
+    if not np.isfinite(total) and not np.isfinite(a).all():
         raise InvalidInput("draw matrix contains non-finite entries")
     return a
 
@@ -50,11 +59,32 @@ def as_log_density_vector(values, n_rows):
     return v
 
 
-def _covariance(a):
-    """Unbiased (divisor T-1) sample covariance of a matrix as_draw_matrix
-    has validated; symmetric by construction."""
-    c = np.atleast_2d(np.cov(a, rowvar=False, ddof=1))
-    return 0.5 * (c + c.T)
+def _centered_blocks(a, center):
+    """(rows, a[rows] - center) for each block of _BLOCK_ROWS rows of a,
+    the difference written into one buffer that every block reuses."""
+    buf = np.empty((min(a.shape[0], _BLOCK_ROWS), a.shape[1]))
+    for start in range(0, a.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = a[rows]
+        yield rows, np.subtract(block, center, out=buf[:block.shape[0]])
+
+
+def _moments(a):
+    """(mean, unbiased covariance) of a matrix as_draw_matrix has
+    validated, the covariance with divisor T-1 and symmetric by
+    construction.
+
+    The mean is one sequential pass over the rows, and the covariance
+    sums (x - mean)^T (x - mean) block by block (a SYRK product), so no
+    centered copy of a is made.
+    """
+    t, d = a.shape
+    center = np.einsum("ij->j", a) / t
+    s = np.zeros((d, d))
+    for _, z in _centered_blocks(a, center):
+        s += z.T @ z
+    s /= t - 1
+    return center, 0.5 * (s + s.T)
 
 
 def cholesky_factor(sigma):
@@ -121,7 +151,7 @@ class Ellipsoid:
 
 def _fit(a, radius):
     """Ellipsoid.fit for a matrix as_draw_matrix has validated."""
-    return Ellipsoid.from_moments(a.mean(axis=0), _covariance(a), radius)
+    return Ellipsoid.from_moments(*_moments(a), radius)
 
 
 def mahalanobis_sq(theta, e: Ellipsoid):
@@ -145,9 +175,8 @@ def _mahalanobis_sq(a, e: Ellipsoid):
     # row i of z is Lo^-1 (a[i] - center), computed as (a - center) @ Lo^-T
     inv_t = np.linalg.inv(e.scale).T
     out = np.empty(a.shape[0])
-    for start in range(0, a.shape[0], _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        z = (a[rows] - e.center) @ inv_t
+    for rows, x in _centered_blocks(a, e.center):
+        z = x @ inv_t
         out[rows] = np.einsum("ij,ij->i", z, z)
     return out
 

@@ -135,12 +135,15 @@ class TestLoadTable:
             load_table(path)
         assert exc_info.value.line == line
 
-    @pytest.mark.parametrize("value", ["true", "false", "9" * 400, "9" * 5000],
-                             ids=["true", "false", "400 digits", "5000 digits"])
+    @pytest.mark.parametrize("value", ["true", "false", "9" * 400, "9" * 5000,
+                                       "[" * 100_000],
+                             ids=["true", "false", "400 digits", "5000 digits",
+                                  "nested past the recursion limit"])
     def test_jsonl_value_that_is_not_a_float_is_a_parse_error(
             self, tmp_path, capsys, value):
-        # true is no number, a 400-digit int overflows float(), and a
-        # 5000-digit one is past json's int digit limit
+        # true is no number, a 400-digit int overflows float(), a
+        # 5000-digit one is past json's int digit limit, and json.loads
+        # raises RecursionError on the nested one
         path = str(tmp_path / "draws.jsonl")
         with open(path, "w") as fh:
             fh.write('{"theta_1": 1.0, "log_unnorm_posterior": -1.0}\n' * 4)
@@ -303,6 +306,7 @@ JSONL_INGEST_CASES = [
     ("list value", J2 + '{"theta_1": [1], "log_unnorm_posterior": -1}\n', False),
     ("line that is not an object", J2 + "[1, -2]\n", False),
     ("invalid JSON on line 2", J2 + '{"theta_1": 1,}\n', False),
+    ("line 2 nested past the recursion limit", J2 + "[" * 100_000 + "\n", False),
     ("missing column on line 3",
      J2 + J2 + '{"theta_1": 1, "log_prior": -1}\n', False),
     ("no density columns", '{"theta_1": 1, "other": 2}\n', False),

@@ -1,6 +1,7 @@
 """Estimator core: point estimate, variance, intervals, splitting, tuning."""
 
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -142,6 +143,21 @@ class TestPointEstimate:
         with pytest.raises(InvalidInput):
             thames(np.array([[0.0], [1.0], [2.0]]), np.zeros(3),
                    ThamesOptions(split=True))
+
+    def test_memory_does_not_grow_with_the_draws(self):
+        # the 40 000 x 100 draws take 30.5 MB; the fit and the distances
+        # run a block of rows at a time, so no centered copy of the fitting
+        # half is made
+        rng = np.random.default_rng(5)
+        draws = rng.standard_normal((40_000, 100))
+        log_post = -0.5 * np.einsum("ij,ij->i", draws, draws)
+        tracemalloc.start()
+        try:
+            thames(draws, log_post)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestVariance:

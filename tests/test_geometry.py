@@ -14,7 +14,7 @@ from thames.errors import InvalidInput, NotPositiveDefinite
 from thames.geometry import (
     _BLOCK_ROWS,
     Ellipsoid,
-    _covariance,
+    _moments,
     as_draw_matrix,
     as_log_density_vector,
     cholesky_factor,
@@ -36,6 +36,21 @@ class TestValidators:
             as_draw_matrix([[1.0], [np.nan]])
         with pytest.raises(InvalidInput):
             as_draw_matrix([[1.0], [np.inf]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 2 * _BLOCK_ROWS + 4],
+                             ids=["first row", "last row of a partial block"])
+    def test_rejects_nonfinite_entry_anywhere(self, bad, row):
+        a = np.ones((2 * _BLOCK_ROWS + 5, 3))
+        a[row, 1] = bad
+        with pytest.raises(InvalidInput,
+                           match="^draw matrix contains non-finite entries$"):
+            as_draw_matrix(a)
+
+    def test_accepts_finite_entries_whose_sum_overflows(self):
+        # pytest turns a RuntimeWarning from the overflowing sum into an error
+        a = np.tile([[1e308, -1e308], [1e308, 1e308]], (3, 1))
+        assert as_draw_matrix(a) is a
 
     def test_rejects_too_few_rows(self):
         with pytest.raises(InvalidInput):
@@ -61,8 +76,31 @@ class TestMoments:
 
     def test_covariance_is_symmetric(self):
         a = RNG.standard_normal((50, 4))
-        cov = _covariance(as_draw_matrix(a))
+        _, cov = _moments(as_draw_matrix(a))
         assert np.array_equal(cov, cov.T)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided columns"])
+    @pytest.mark.parametrize("d", [1, 3, 100])
+    @pytest.mark.parametrize("t", [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   3 * _BLOCK_ROWS + 5])
+    def test_blocked_moments_match_numpy(self, t, d, layout):
+        rng = np.random.default_rng(t * 1000 + d)
+        if layout == "strided columns":
+            a = (rng.standard_normal((t, 2 * d)) * 2.0 + 3.0)[:, ::2]
+        else:
+            a = np.asarray(rng.standard_normal((t, d)) * 2.0 + 3.0, order=layout)
+        mean = a.mean(axis=0)
+        cov = np.atleast_2d(np.cov(a, rowvar=False))
+        center, sigma = _moments(as_draw_matrix(a))
+        np.testing.assert_allclose(center, mean, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(sigma, cov, rtol=1e-13,
+                                   atol=1e-13 * np.abs(cov).max())
+        if t <= d:  # singular: no ellipsoid to fit
+            return
+        e = Ellipsoid.fit(a, 1.0)
+        np.testing.assert_allclose(e.center, mean, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(e.scale, np.linalg.cholesky(cov), rtol=1e-13,
+                                   atol=1e-13 * np.abs(e.scale).max())
 
 
 class TestCholesky:
