@@ -1,14 +1,16 @@
 """Truncated harmonic mean estimation of the reciprocal marginal likelihood.
 
-The core quantity is
+One kernel, _estimate, takes per-draw log terms x_t over the T'
+estimation draws, a mask of the truncation set A and the log mass log N
+of the importance density on A, and returns the relative SE and
 
-    log Zhat^-1 = -log T' - log V(A) + logsumexp_{t in A} ( -log Lpi_t )
+    log Zhat^-1 = logsumexp_{t in A} x_t - log N - log T'.
 
-where A is a Mahalanobis ellipsoid fit to (one half of) the posterior
-draws. With a constrained support S, the sum runs over A intersect S and
-V(A) becomes V(A) * R_hat, R_hat the Monte Carlo share of A in S. All
-accumulation is in log space; the raw-scale sum overflows for realistic
-|log Lpi| of order 10^3.
+thames() fits a Mahalanobis ellipsoid A to (one half of) the draws and
+passes x_t = -log Lpi_t and N = V(A). With a constrained support S it
+masks by A intersect S, then subtracts log R_hat, R_hat the Monte Carlo
+share of A in S, and adds its variance. All accumulation is in log
+space; the raw-scale sum overflows for |log Lpi| of order 10^3.
 """
 
 import math
@@ -61,7 +63,15 @@ class ThamesOptions:
     correction: object = None
 
     def __post_init__(self):
+        from .correction import ConstrainedCorrectionConfig
+
         _check_level(self.ci_level)
+        if not isinstance(self.radius_policy, RadiusPolicy):
+            raise InvalidInput(f"radius_policy {self.radius_policy!r:.40} is not "
+                               "a RadiusPolicy")
+        if not isinstance(self.correction, (type(None), ConstrainedCorrectionConfig)):
+            raise InvalidInput(f"correction {self.correction!r:.40} is not None "
+                               "or a ConstrainedCorrectionConfig")
         if self.serial_correction not in ("none", "ar1"):
             raise InvalidInput(
                 f"unknown serial correction {self.serial_correction!r}")
@@ -81,14 +91,6 @@ class ThamesResult:
     correction_ci: tuple = None  # (lower, upper) CI of the volume ratio
     radius_table: tuple = None  # grid policy: (c, log_z, se_recip_rel) rows
     n_outside_support: int = None  # correction: estimation draws outside S
-
-
-def _split_index(t):
-    """Rows of the fitting half: the first T // 2 of T draws."""
-    if t < 4:
-        raise InvalidInput(f"splitting T={t} draws in half leaves fewer than 2 "
-                           "on one side")
-    return t // 2
 
 
 def variance_recip_iid(log_terms, t_estimation, log_vol):
@@ -160,100 +162,55 @@ def harmonic_mean_log_z(log_likelihoods):
     return float(np.log(ll.size) - logsumexp(-ll))
 
 
-def _estimate_inside(inside, log_post_est, e, opts: ThamesOptions, ratio=None,
-                     table=None, n_outside=None):
-    """The estimate for ellipsoid e over the estimation draws that inside
-    flags, those strictly inside e; table is the grid table, if any.
-
-    ratio, when given, is (R_hat, its CI) for the support S of
-    opts.correction, and n_outside the number of estimation draws outside
-    S; the truncation set is then A intersect S, so inside must be False
-    for every draw outside S, and V(A intersect S) is V(A) * R_hat. The
-    Monte Carlo variance of R_hat, (1 - R)/(n R) on the relative scale,
-    adds to that of the sum.
+def _estimate(log_terms, inside, log_norm, opts: ThamesOptions):
+    """(log Zhat^-1, relative SE of the sum, included count) from the log
+    terms of the T' estimation draws, the truncation-set mask inside and
+    the log mass log_norm of the importance density on that set. "ar1"
+    inflates the SE by the autocorrelation of the terms, zero outside.
     """
     n_inside = int(np.count_nonzero(inside))
     if n_inside == 0:
         raise EmptyTruncationSet("no draw inside the truncation ellipsoid")
-    lp_in = log_post_est[inside]
-    if np.any(lp_in == -np.inf):
+    lt_in = log_terms[inside]
+    if np.any(lt_in == np.inf):
         raise DegenerateTerm(
             "zero-density draw inside the ellipsoid makes the sum infinite"
         )
     t_est = inside.shape[0]
-    log_vol = log_volume(e)
-    log_terms = -lp_in  # log(1/(L pi)) per included draw
-    log_recip_z = float(logsumexp(log_terms) - log_vol - np.log(t_est))
-
-    if n_inside >= 2:
-        se = variance_recip_iid(log_terms, t_est, log_vol)
-    else:
-        se = np.inf
+    log_recip_z = float(logsumexp(lt_in) - log_norm - np.log(t_est))
+    se = variance_recip_iid(lt_in, t_est, log_norm) if n_inside >= 2 else np.inf
     if opts.serial_correction == "ar1":
-        series = np.where(inside, -log_post_est, -np.inf)
-        se *= np.sqrt(ar1_inflation(series))
-
-    r_hat, r_ci = ratio or (None, None)
-    if ratio is not None:
-        log_recip_z -= float(np.log(r_hat))
-        n = opts.correction.n_samples
-        se = math.hypot(se, math.sqrt((1.0 - r_hat) / (n * r_hat)))
-
-    return ThamesResult(
-        log_recip_z=log_recip_z,
-        log_z=-log_recip_z,
-        se_recip_rel=se,
-        ci_log_z=confidence_interval(log_recip_z, se, opts.ci_level),
-        t_estimation=t_est,
-        n_inside=n_inside,
-        radius_used=e.radius,
-        ellipsoid=e,
-        correction_ratio=r_hat,
-        correction_ci=r_ci,
-        radius_table=table,
-        n_outside_support=n_outside,
-    )
+        se *= np.sqrt(ar1_inflation(np.where(inside, log_terms, -np.inf)))
+    return log_recip_z, se, n_inside
 
 
-def _sweep(maha, lp_est, base, grid, opts: ThamesOptions):
-    """Estimates over a radius grid from one set of distances.
-
-    Returns (table, e): the (c, log_z, se_recip_rel) rows, NaN where a
-    radius leaves the set empty or holds a zero-density draw, and base at
-    the radius with the smallest finite SE, ties broken toward the
-    smaller radius.
-    """
+def _sweep(maha, log_terms, base, grid, opts: ThamesOptions):
+    """(table, e) over a radius grid from one set of distances: the
+    (c, log_z, se_recip_rel) rows, NaN where a radius leaves the set empty
+    or holds a zero-density draw, and base at the radius with the smallest
+    finite SE, ties broken toward the smaller radius."""
     table = []
     for c in map(float, grid):
         try:
-            res = _estimate_inside(maha < c * c, lp_est, replace(base, radius=c), opts)
+            log_recip_z, se, _ = _estimate(log_terms, maha < c * c,
+                                           log_volume(replace(base, radius=c)), opts)
+            table.append((c, -log_recip_z, se))
         except (EmptyTruncationSet, DegenerateTerm):
             table.append((c, np.nan, np.nan))
-            continue
-        table.append((c, res.log_z, res.se_recip_rel))
     usable = [(se, c) for c, _, se in table if np.isfinite(se)]
     if not usable:
-        raise EmptyTruncationSet("every grid radius left the truncation set empty")
+        raise EmptyTruncationSet(
+            "no grid radius gives a finite SE: each left the truncation set "
+            "empty, kept a single draw or held a zero-density draw")
     return tuple(table), replace(base, radius=min(usable)[1])
 
 
-def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = None):
-    """Estimate log Z^-1 (and log Z) from posterior draws.
-
-    With splitting enabled, the ellipsoid is fit on the first T // 2
-    draws and the sum runs over the remainder.
-    Passing an explicit ellipsoid bypasses fitting (and splitting)
-    entirely, e.g. for oracle posterior moments.
-
-    The ellipsoid is fit once and the Mahalanobis distances are computed
-    once. A radius grid reuses them for every radius, picks the radius
-    with the smallest SE on the estimation draws, which biases that SE
-    low, and reports every radius in result.radius_table. With
-    opts.correction, the sum runs over the ellipsoid intersected with
-    the support, and the volume is V(A) times the Monte Carlo volume
-    ratio R_hat.
+def _truncate(draws, log_post, opts: ThamesOptions, ellipsoid=None):
+    """(log_terms, inside, e, table, n_outside): -log_post over the
+    estimation draws, the mask of e intersected with the support of
+    opts.correction, the ellipsoid, the grid table and the count of
+    estimation draws outside the support, each of the last two or None.
     """
-    opts = opts or ThamesOptions()
     a = as_draw_matrix(draws, min_rows=2)
     lp = as_log_density_vector(log_post, a.shape[0])
     grid = opts.radius_policy.grid if ellipsoid is None else None
@@ -262,33 +219,75 @@ def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = N
     if e is None:
         c = 1.0 if grid else resolve_radius(opts.radius_policy, a.shape[1])
         fit_part = a
-        if opts.split:
-            t_fit = _split_index(a.shape[0])
+        if opts.split:  # fit on the first T // 2 draws
+            t_fit = a.shape[0] // 2
+            if t_fit < 2:
+                raise InvalidInput(f"splitting T={a.shape[0]} draws in half "
+                                   "leaves fewer than 2 on one side")
             fit_part, a, lp = a[:t_fit], a[t_fit:], lp[t_fit:]
         e = _fit(fit_part, c)
     maha = _mahalanobis_sq(a, e)
+    log_terms = -lp  # log(1/(L pi)) per estimation draw
     table = None
     if grid:
-        table, e = _sweep(maha, lp, e, grid, opts)
+        table, e = _sweep(maha, log_terms, e, grid, opts)
 
     inside = maha < e.radius * e.radius  # strict: boundary ties excluded
-    ratio = n_outside = None
+    n_outside = None
+    if opts.correction is not None:
+        in_support = opts.correction.support.contains(a)
+        n_outside = in_support.size - int(np.count_nonzero(in_support))
+        inside &= in_support
+    return log_terms, inside, e, table, n_outside
+
+
+def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = None):
+    """Estimate log Z^-1 (and log Z) from posterior draws.
+
+    With splitting enabled, the ellipsoid is fit on the first T // 2
+    draws and the sum runs over the remainder. Passing an explicit
+    ellipsoid bypasses fitting (and splitting) entirely, e.g. for oracle
+    posterior moments. A radius grid reuses one set of distances for
+    every radius, picks the radius with the smallest SE on the estimation
+    draws, which biases that SE low, and reports every radius in
+    result.radius_table. A support correction is applied after the kernel.
+    """
+    opts = opts or ThamesOptions()
+    log_terms, inside, e, table, n_out = _truncate(draws, log_post, opts, ellipsoid)
+    r_hat = r_ci = None
     if opts.correction is not None:
         from .correction import estimate_volume_ratio
 
         cfg = opts.correction
-        ratio = estimate_volume_ratio(e, cfg.support, cfg.n_samples, cfg.seed,
-                                      opts.ci_level)
-        in_support = cfg.support.contains(a)
-        n_outside = in_support.size - int(np.count_nonzero(in_support))
-        inside &= in_support
-    return _estimate_inside(inside, lp, e, opts, ratio, table, n_outside)
+        r_hat, r_ci = estimate_volume_ratio(e, cfg.support, cfg.n_samples,
+                                            cfg.seed, opts.ci_level)
+    log_recip_z, se, n_inside = _estimate(log_terms, inside, log_volume(e), opts)
+    if r_hat is not None:
+        # V(A intersect S) is V(A) * R_hat, and the Monte Carlo variance of
+        # R_hat, (1 - R)/(n R) on the relative scale, adds to that of the sum
+        log_recip_z -= float(np.log(r_hat))
+        se = math.hypot(se, math.sqrt((1.0 - r_hat) / (cfg.n_samples * r_hat)))
+    return ThamesResult(
+        log_recip_z=log_recip_z,
+        log_z=-log_recip_z,
+        se_recip_rel=se,
+        ci_log_z=confidence_interval(log_recip_z, se, opts.ci_level),
+        t_estimation=inside.shape[0],
+        n_inside=n_inside,
+        radius_used=e.radius,
+        ellipsoid=e,
+        correction_ratio=r_hat,
+        correction_ci=r_ci,
+        radius_table=table,
+        n_outside_support=n_out,
+    )
 
 
 def empirical_scv(draws, log_post, c, opts: ThamesOptions = None):
-    """Plug-in squared coefficient of variation, T' * (relative SE)^2."""
-    opts = opts or ThamesOptions()
-    opts = replace(opts, radius_policy=RadiusPolicy.fixed(c),
+    """Plug-in squared coefficient of variation, T' * (relative SE)^2,
+    from the SE of the sum alone: a volume ratio adds no error to it."""
+    opts = replace(opts or ThamesOptions(), radius_policy=RadiusPolicy.fixed(c),
                    serial_correction="none")
-    res = thames(draws, log_post, opts)
-    return float(res.t_estimation * res.se_recip_rel ** 2)
+    log_terms, inside, e, _, _ = _truncate(draws, log_post, opts)
+    _, se, _ = _estimate(log_terms, inside, log_volume(e), opts)
+    return float(inside.shape[0] * se ** 2)

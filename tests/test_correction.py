@@ -21,7 +21,12 @@ from thames.correction import (
     estimate_volume_ratio,
 )
 from thames.errors import DegenerateTerm, InvalidInput, ZeroSupportOverlap
-from thames.estimator import ThamesOptions, thames
+from thames.estimator import (
+    ThamesOptions,
+    ar1_inflation,
+    thames,
+    variance_recip_iid,
+)
 from thames.geometry import Ellipsoid, log_volume, mahalanobis_sq
 from thames.models import GaussianMeanModel, gaussian_dataset
 from thames.radius import RadiusPolicy
@@ -552,6 +557,39 @@ class TestEstimatorIntegration:
         cfg = ConstrainedCorrectionConfig(ORTHANT, 5000, 13)
         res = thames(draws, log_post, ThamesOptions(correction=cfg))
         assert np.isfinite(res.log_z) and res.t_estimation == 1000
+
+    def test_ar1_inflates_only_the_sum_over_the_support(self):
+        # the estimation half sorted within blocks of 10 draws: a series
+        # with positive lag-1 autocorrelation; the box cuts the ellipsoid
+        draws, log_post, _ = truncated_problem()
+        blocks = np.arange(1000, 2000).reshape(100, 10)
+        order = np.take_along_axis(
+            blocks, np.argsort(log_post[blocks], axis=1), axis=1).ravel()
+        draws[1000:], log_post[1000:] = draws[order], log_post[order]
+        support = SupportPredicate.box((draws[:, 0].mean(), -100.0), (100.0, 100.0))
+        cfg = ConstrainedCorrectionConfig(support, n_samples=400, seed=13)
+        iid = thames(draws, log_post, ThamesOptions(correction=cfg))
+        ar1 = thames(draws, log_post,
+                     ThamesOptions(correction=cfg, serial_correction="ar1"))
+        assert ar1.log_recip_z == iid.log_recip_z
+        assert ar1.correction_ratio == iid.correction_ratio
+
+        e, est, lp = iid.ellipsoid, draws[1000:], log_post[1000:]
+        in_a = mahalanobis_sq(est, e) < e.radius ** 2
+        in_s = support.contains(est)
+        assert (in_a & ~in_s).any()
+        se_sum = variance_recip_iid(-lp[in_a & in_s], 1000, 0.0)
+        r = iid.correction_ratio
+        var_r = (1.0 - r) / (400 * r)
+        factor = ar1_inflation(np.where(in_a & in_s, -lp, -np.inf))
+        # the series without the draws outside S gives another factor
+        factor_a = ar1_inflation(np.where(in_a, -lp, -np.inf))
+        assert factor > 1.0 and factor != pytest.approx(factor_a, rel=1e-3)
+        assert iid.se_recip_rel ** 2 == pytest.approx(se_sum ** 2 + var_r, rel=1e-12)
+        assert ar1.se_recip_rel ** 2 == pytest.approx(
+            se_sum ** 2 * factor + var_r, rel=1e-12)
+        # the variance of R_hat is not inflated
+        assert ar1.se_recip_rel < math.sqrt(factor) * iid.se_recip_rel
 
     def test_interval_covers_on_truncated_prior(self):
         # d = 1, the prior truncated to theta > 0: the ellipsoid sticks

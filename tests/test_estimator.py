@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, ndtri
 
+from thames.correction import ConstrainedCorrectionConfig, SupportPredicate
 from thames.errors import (
     DegenerateTerm,
     EmptyTruncationSet,
@@ -105,6 +106,16 @@ class TestPointEstimate:
         assert [f.name for f in fields(ThamesOptions)] == [
             "radius_policy", "split", "ci_level", "serial_correction",
             "correction"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("radius_policy", "optimal"),
+        ("radius_policy", None),
+        ("correction", SupportPredicate.unbounded()),
+        ("correction", "positive:0"),
+    ])
+    def test_options_reject_wrong_types(self, field, value):
+        with pytest.raises(InvalidInput, match=f"^{field} .* is not"):
+            ThamesOptions(**{field: value})
 
     def test_explicit_ellipsoid_bypasses_split(self):
         model, draws, log_post = toy_problem(t=1000)
@@ -382,6 +393,18 @@ class TestRadiusTuning:
         with pytest.raises(EmptyTruncationSet):
             grid_table(draws, log_post, (1e-8,))
 
+    def test_no_finite_se_names_both_causes(self):
+        # at 0.1 and 0.2 the set keeps one draw: not empty, but the SE is
+        # infinite
+        _, draws, log_post = toy_problem(t=200)
+        for c in (0.1, 0.2):
+            res = thames(draws, log_post,
+                         ThamesOptions(radius_policy=RadiusPolicy.fixed(c)))
+            assert res.n_inside == 1 and res.se_recip_rel == np.inf
+        with pytest.raises(EmptyTruncationSet,
+                           match="no grid radius gives a finite SE.*empty.*single draw"):
+            grid_table(draws, log_post, (0.1, 0.2))
+
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidInput):
             ThamesOptions(radius_policy=RadiusPolicy.empirical_grid(()))
@@ -404,3 +427,15 @@ class TestEmpiricalScv:
                      ThamesOptions(radius_policy=RadiusPolicy.fixed(c)))
         assert empirical_scv(draws, log_post, c) == pytest.approx(
             res.t_estimation * res.se_recip_rel ** 2, rel=1e-12)
+
+    def test_volume_ratio_adds_nothing(self):
+        # every draw of |N(0, I_3)| lies in the orthant, so the terms are
+        # the same with or without the support correction
+        draws = np.abs(np.random.default_rng(0).standard_normal((4000, 3)))
+        log_post = -0.5 * np.einsum("ij,ij->i", draws, draws)
+        plain = empirical_scv(draws, log_post, 2.0)
+        for n in (100, 1000, 100_000):
+            cfg = ConstrainedCorrectionConfig(
+                SupportPredicate.positive_orthant([0, 1, 2]), n_samples=n)
+            opts = ThamesOptions(correction=cfg)
+            assert empirical_scv(draws, log_post, 2.0, opts) == plain
