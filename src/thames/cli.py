@@ -285,33 +285,24 @@ def _load_csv_columns(path):
 
 
 def _load_jsonl_columns(path):
-    """json.loads per line and one array conversion, or None to defer to
-    the row parser.
+    """The records of _rows_from_jsonl in one array conversion, or None
+    to defer to the row parser.
 
     Only plain JSON numbers are settled here: a string that float()
-    reads, a bad value, a missing column or a line that is not a JSON
-    object goes to the row parser, which returns the same arrays or
-    raises the ParseError with its line number. json.loads gives a
-    number as an int or a float, and numpy converts an int as float()
-    does.
+    reads, a bad value, a missing column or a line _rows_from_jsonl
+    rejects goes to the row parser, which raises the ParseError of the
+    first bad line or returns the same arrays. json.loads gives a number
+    as an int or a float, and numpy converts an int as float() does.
     """
     values, pick = [], None
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                if type(record) is not dict:
-                    return None
-                if pick is None:
-                    theta_names, density_names = _classify_columns(list(record))
-                    names = theta_names + density_names
-                    pick = operator.itemgetter(*names)  # >= 2 names: a tuple
-                values.extend(pick(record))
-    # ValueError includes JSONDecodeError and UnicodeDecodeError; a deeply
-    # nested line raises RecursionError
-    except (ValueError, RecursionError, KeyError, ParseError):
+        for _, record in _rows_from_jsonl(path):
+            if pick is None:
+                theta_names, density_names = _classify_columns(list(record))
+                names = theta_names + density_names
+                pick = operator.itemgetter(*names)  # >= 2 names: a tuple
+            values.extend(pick(record))
+    except (ParseError, KeyError):
         return None
     if pick is None or not set(map(type, values)) <= {int, float}:
         return None
@@ -570,14 +561,12 @@ def build_parser():
                             "optimal | grid:<c1,c2,...>")
     table.add_argument("--no-split", action="store_true")
     table.add_argument("--ci", type=_checked(float, _check_level), default=0.95)
-    table.add_argument("--seed", type=_checked(int, _check_seed), default=0,
-                       help="volume-ratio sample seed (correct), in [0, 2**64)")
 
     p_est = sub.add_parser("estimate", parents=[table],
                            help="estimate log Z from a draw table")
     p_est.add_argument("--ar1", action="store_true",
                        help="inflate the variance by an AR(1) factor")
-    p_est.set_defaults(func=cmd_estimate)
+    p_est.set_defaults(func=cmd_estimate, seed=0)  # estimate draws no sample
 
     p_cor = sub.add_parser("correct", parents=[table],
                            help="estimate, then adjust for constrained support")
@@ -587,6 +576,8 @@ def build_parser():
                             "from 0, so theta_1..theta_10 are "
                             "positive:0,...,9")
     p_cor.add_argument("--n", type=_checked(int, _check_sample_count), default=100)
+    p_cor.add_argument("--seed", type=_checked(int, _check_seed), default=0,
+                       help="volume-ratio sample seed, in [0, 2**64)")
     p_cor.set_defaults(func=cmd_estimate)
 
     p_scv = sub.add_parser("scv",

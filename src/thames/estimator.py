@@ -14,6 +14,7 @@ space; the raw-scale sum overflows for |log Lpi| of order 10^3.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -38,9 +39,9 @@ from .radius import RadiusPolicy, resolve_radius
 
 
 def _check_level(level):
-    """Raise InvalidInput unless level is a confidence level, in (0, 1)."""
-    if not 0.0 < level < 1.0:
-        raise InvalidInput(f"confidence level must be in (0, 1), got {level}")
+    """Raise InvalidInput unless level is a real number in (0, 1)."""
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+        raise InvalidInput(f"confidence level must be in (0, 1), got {level!r:.40}")
 
 
 def _two_sided_z(level):
@@ -66,6 +67,8 @@ class ThamesOptions:
         from .correction import ConstrainedCorrectionConfig
 
         _check_level(self.ci_level)
+        if not isinstance(self.split, bool):
+            raise InvalidInput(f"split {self.split!r:.40} is not a bool")
         if not isinstance(self.radius_policy, RadiusPolicy):
             raise InvalidInput(f"radius_policy {self.radius_policy!r:.40} is not "
                                "a RadiusPolicy")

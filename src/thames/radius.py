@@ -45,14 +45,20 @@ class RadiusPolicy:
     grid: tuple = None
 
     def __post_init__(self):
-        if self.kind == "fixed":
-            if self.value is None or not 0 < self.value < np.inf:
-                raise InvalidInput("fixed radius must be finite and positive")
-        elif self.kind == "grid":
-            if not self.grid or any(not 0 < c < np.inf for c in self.grid):
-                raise InvalidInput("radius grid must be nonempty, finite and positive")
-        elif self.kind not in ("sqrt_d_plus_1", "chisq_median", "optimal"):
+        if self.kind not in ("sqrt_d_plus_1", "fixed", "chisq_median", "optimal", "grid"):
             raise InvalidInput(f"unknown radius policy {self.kind!r}")
+        try:  # value and grid become floats; a missing one is a TypeError
+            if self.kind == "fixed":
+                object.__setattr__(self, "value", float(self.value))
+            elif self.kind == "grid":
+                object.__setattr__(self, "grid", tuple(map(float, self.grid)))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"{self.kind} radius: {exc}") from None
+        if self.kind == "fixed" and not 0 < self.value < np.inf:
+            raise InvalidInput("fixed radius must be finite and positive")
+        if self.kind == "grid" and (not self.grid or any(not 0 < c < np.inf
+                                                         for c in self.grid)):
+            raise InvalidInput("radius grid must be nonempty, finite and positive")
 
     @classmethod
     def sqrt_d_plus_1(cls):
@@ -60,7 +66,7 @@ class RadiusPolicy:
 
     @classmethod
     def fixed(cls, c):
-        return cls("fixed", value=float(c))
+        return cls("fixed", value=c)
 
     @classmethod
     def chisq_median(cls):
@@ -72,7 +78,7 @@ class RadiusPolicy:
 
     @classmethod
     def empirical_grid(cls, cs):
-        return cls("grid", grid=tuple(float(c) for c in cs))
+        return cls("grid", grid=cs)
 
 
 @dataclass(frozen=True)

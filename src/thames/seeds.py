@@ -6,6 +6,8 @@ the worker count. _rng(seed) is the generator every seeded sampler in the
 package draws from.
 """
 
+import operator
+
 import numpy as np
 
 from .errors import InvalidInput
@@ -28,7 +30,11 @@ def spawn_seed(master_seed, index):
 
 
 def _check_seed(seed):
-    """Raise InvalidInput unless seed is a 64-bit key, in [0, 2**64)."""
+    """Raise InvalidInput unless seed is an integer 64-bit key, in [0, 2**64)."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InvalidInput(f"seed {seed!r:.40} is not an integer") from None
     if not 0 <= seed <= MASK:
         raise InvalidInput(f"seed must be in [0, 2**64), got {seed}")
 

@@ -309,6 +309,12 @@ JSONL_INGEST_CASES = [
     ("line 2 nested past the recursion limit", J2 + "[" * 100_000 + "\n", False),
     ("missing column on line 3",
      J2 + J2 + '{"theta_1": 1, "log_prior": -1}\n', False),
+    # the row parser rejects line 2 before line 3's JSON would be read
+    ("true theta on line 2, invalid JSON on line 3",
+     J2 + '{"theta_1": true, "log_unnorm_posterior": -1}\n'
+     '{"theta_1": 1,}\n', False),
+    ("missing column on line 2, a list on line 3",
+     J2 + '{"theta_1": 1}\n[1, 2]\n', False),
     ("no density columns", '{"theta_1": 1, "other": 2}\n', False),
     ("only blank lines", "\n \n", False),
     ("empty file", "", False),
@@ -563,7 +569,7 @@ class TestCorrectCommand:
         ["correct", "--support", "unbounded", "--ci", "1.5"],
         ["estimate", "--ci", "1.5"],
         ["estimate", "--ci", "0"],
-        ["estimate", "--seed", "-1"],
+        ["correct", "--support", "unbounded", "--seed", "1.5"],
         ["correct", "--support", "unbounded", "--n", "-5"],
         ["correct", "--support", "unbounded", "--ci", "nan"],
         ["correct", "--support", "positive:0,-1"],
@@ -579,6 +585,20 @@ class TestCorrectCommand:
         error = json.loads(lines[0])
         assert error["error"] == "usage"
         assert error["message"].startswith(f"argument {argv[-2]}: ")
+
+    def test_estimate_takes_no_seed(self, tmp_path, capsys):
+        # estimate draws no random number, so --seed belongs to correct only
+        path = str(tmp_path / "draws.csv")
+        write_draw_csv(path, t=200)
+        code, out = run_cli(capsys, "estimate", path, "--seed", "0")
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "usage"
+        assert "--seed" in error["message"]
+        code, out = run_cli(capsys, "estimate", path)
+        assert code == 0 and json.loads(out)["seed"] == 0
 
     @pytest.mark.parametrize("spec", ["positive:2", "positive:-1", "box:0:1"])
     def test_support_of_wrong_dimension_names_the_flag(self, tmp_path, capsys,

@@ -631,8 +631,22 @@ class TestEstimatorIntegration:
             ConstrainedCorrectionConfig(support=SupportPredicate.unbounded(),
                                         n_samples=0)
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, None])
     def test_config_validates_seed(self, seed):
         with pytest.raises(InvalidInput):
             ConstrainedCorrectionConfig(support=SupportPredicate.unbounded(),
                                         seed=seed)
+
+    @pytest.mark.parametrize("n_samples", [20000.0, "100"])
+    def test_config_rejects_non_integer_count(self, n_samples):
+        with pytest.raises(InvalidInput, match="^sample count .* is not an integer"):
+            ConstrainedCorrectionConfig(support=SupportPredicate.unbounded(),
+                                        n_samples=n_samples)
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = ConstrainedCorrectionConfig(SupportPredicate.positive_orthant([0]),
+                                          n_samples=np.int64(500),
+                                          seed=np.uint64(2 ** 64 - 1))
+        e = Ellipsoid(np.zeros(1), np.eye(1), 1.0)
+        assert estimate_volume_ratio(e, cfg.support, cfg.n_samples, cfg.seed) == \
+            estimate_volume_ratio(e, cfg.support, 500, 2 ** 64 - 1)

@@ -112,9 +112,16 @@ class TestPointEstimate:
         ("radius_policy", None),
         ("correction", SupportPredicate.unbounded()),
         ("correction", "positive:0"),
+        ("ci_level", "0.9"),
+        ("ci_level", None),
+        ("split", "no"),
+        ("split", 1),
     ])
     def test_options_reject_wrong_types(self, field, value):
-        with pytest.raises(InvalidInput, match=f"^{field} .* is not"):
+        # the level goes through the check that --ci and the volume ratio share
+        message = (f"confidence level must be in \\(0, 1\\), got {value!r}"
+                   if field == "ci_level" else f"{field} .* is not")
+        with pytest.raises(InvalidInput, match=f"^{message}"):
             ThamesOptions(**{field: value})
 
     def test_explicit_ellipsoid_bypasses_split(self):

@@ -253,6 +253,24 @@ class TestPolicies:
         with pytest.raises(InvalidInput):
             RadiusPolicy("bogus")
 
+    @pytest.mark.parametrize("kind, changes", [
+        ("fixed", {"value": "two"}),
+        ("fixed", {"value": None}),
+        ("fixed", {"value": [1.0, 2.0]}),
+        ("grid", {"grid": 5}),
+        ("grid", {"grid": None}),
+        ("grid", {"grid": ["1", "x"]}),
+    ])
+    def test_wrong_types_rejected(self, kind, changes):
+        with pytest.raises(InvalidInput, match=f"^{kind} radius: "):
+            RadiusPolicy(kind, **changes)
+
+    def test_values_become_floats(self):
+        assert RadiusPolicy("fixed", value="2") == RadiusPolicy.fixed(2.0)
+        assert RadiusPolicy("fixed", value=np.float32(2.5)).value == 2.5
+        grid = RadiusPolicy("grid", grid=iter([1, "2.5"])).grid
+        assert grid == (1.0, 2.5) and all(type(c) is float for c in grid)
+
 
 class TestScvBounds:
     def test_shape(self):
