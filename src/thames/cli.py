@@ -12,26 +12,27 @@ All density columns are NATURAL log. There is deliberately no
 mode, so any base conversion must happen before the file reaches this
 tool.
 
-Exit codes: 0 success, 1 environment error (a module the command needs,
-such as scipy for ``scv``, cannot be imported), 2 usage error, 3 parse
-error, 4 numerical error (empty truncation set, non-positive-definite
-covariance, zero support overlap, zero-density draw inside the
-ellipsoid). Errors print a single JSON object to stdout.
+Exit codes: 0 success, 1 environment error (a module the command
+imports when it runs, such as ``thames.models`` for ``replicate``, is
+missing from a broken install), 2 usage error, 3 parse error, 4
+numerical error (empty truncation set, non-positive-definite covariance,
+zero support overlap, zero-density draw inside the ellipsoid). Errors
+print a single JSON object to stdout.
 
 Output is deterministic: the same input file, flags, and seed produce
 byte-identical output.
 
-Start-up cost: no module of the package imports scipy when it is
-imported, and only two code paths import it when they run: ``scv``
-(``scipy.special.gammainc``, for the HPD mass) and the ``chisq_median``
-radius (``scipy.special.gammaincinv``). Every other command, the
-``optimal`` radius and ``replicate dirmult`` included, loads only numpy
-and the standard library.
+Start-up cost: no module of the package imports scipy, so every
+command loads only numpy and the standard library. ``scv``'s HPD mass
+and the ``chisq_median`` radius come from ``radius.chi2_cdf``, a finite
+sum for integer d. Each command imports only what it runs: ``thames``
+resolves its public names on first use, ``estimate``, ``correct`` and
+``scv`` never import ``thames.models``, and ``hashlib`` (with OpenSSL)
+is imported only to checksum an input file.
 """
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import operator
@@ -50,7 +51,14 @@ from .correction import (
 )
 from .errors import InvalidInput, NumericalError, ParseError
 from .estimator import ThamesOptions, _check_level, thames
-from .radius import RadiusPolicy, optimal_radius, resolve_radius, scv_bounds, scv_normal
+from .radius import (
+    RadiusPolicy,
+    chi2_cdf,
+    optimal_radius,
+    resolve_radius,
+    scv_bounds,
+    scv_normal,
+)
 from .seeds import _check_seed
 
 # ---------------------------------------------------------------------------
@@ -98,6 +106,8 @@ def emit_error(kind, message, stream, **extra):
 
 
 def file_checksum(path):
+    import hashlib  # loads OpenSSL, 3.5 MB that scv and a bare import do not need
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -484,8 +494,6 @@ def parse_scv_policy(spec):
 
 
 def cmd_scv(args, stdout):
-    from scipy.special import gammainc
-
     if args.dmax < 1:
         raise InvalidInput(f"--dmax must be >= 1, got {args.dmax}")
     # the whole table is built first, so an error prints only its JSON line
@@ -493,7 +501,7 @@ def cmd_scv(args, stdout):
     for d in range(1, args.dmax + 1):
         opt = optimal_radius(d)
         lower, upper = scv_bounds(d)
-        hpd = gammainc(0.5 * d, 0.5 * opt.c_d ** 2)
+        hpd = chi2_cdf(d, opt.c_d ** 2)
         for spec, policy in args.policies:
             c = resolve_radius(policy, d)
             rows.append((d, spec, c, scv_normal(d, c), opt.c_d, opt.l_d,
@@ -506,11 +514,6 @@ def cmd_scv(args, stdout):
 # ---------------------------------------------------------------------------
 # replicate
 # ---------------------------------------------------------------------------
-
-
-def _check_reps(reps):
-    if reps < 1:
-        raise InvalidInput(f"replication count must be >= 1, got {reps}")
 
 
 def cmd_replicate(args, stdout):
@@ -593,7 +596,7 @@ def build_parser():
     p_rep.add_argument("--out", required=True)
     p_rep.add_argument("--seed", type=_checked(int, _check_seed), default=0,
                        help="experiment seed, in [0, 2**64)")
-    p_rep.add_argument("--reps", type=_checked(int, _check_reps),
+    p_rep.add_argument("--reps", type=_checked(int, experiments._check_reps),
                        default=50,
                        help="replications per setting; gaussian-d and dirmult only")
     p_rep.set_defaults(func=cmd_replicate)
@@ -618,7 +621,7 @@ def main(argv=None):
     except (InvalidInput, OSError, ValueError) as exc:
         emit_error("usage", str(exc), stdout)
         return 2
-    except ImportError as exc:  # a broken install, such as scipy missing
+    except ImportError as exc:  # a broken install, such as a module left out
         emit_error("environment", str(exc), stdout, module=exc.name)
         return 1
 

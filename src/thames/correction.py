@@ -140,6 +140,9 @@ class ConstrainedCorrectionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.support, SupportPredicate):
+            raise InvalidInput(f"support must be a SupportPredicate, "
+                               f"got {type(self.support).__name__}")
         _check_sample_count(self.n_samples)
         _check_seed(self.seed)
 

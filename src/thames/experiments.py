@@ -11,16 +11,20 @@ RSS of ``replicate``.
 
 The estimator and the models are called through their modules, so a
 wrapper set on a module attribute, such as a tracing span, sees every call.
+Each builder imports ``models`` when it runs, so that ``estimate``,
+``correct`` and ``scv``, which import this module for the CLI's
+experiment names, do not load it.
 """
 
 import functools
 import math
+import operator
 
 import numpy as np
 
-from . import estimator, models
+from . import estimator
 from .correction import ConstrainedCorrectionConfig
-from .errors import NumericalError
+from .errors import InvalidInput, NumericalError
 from .geometry import Ellipsoid
 from .seeds import spawn_seed
 
@@ -29,6 +33,8 @@ GAUSSIAN_T_GRID = tuple([5] + list(range(1005, 9006, 1000)))
 
 def gaussian_t(seed, reps):
     """One-dimensional conjugate Gaussian runs over a grid of sample sizes."""
+    from . import models
+
     data = models.gaussian_dataset(d=1, n=20, mu=2.0, seed=spawn_seed(seed, 0))
     model = models.GaussianMeanModel(s0=1.0, data=data)
     exact = model.exact_log_marginal()
@@ -54,6 +60,8 @@ GAUSSIAN_D_GRID = (1, 5, 10, 25, 50)
 
 def gaussian_d(seed, reps, t=10000):
     """Split / no-split / oracle-moment comparison across dimensions."""
+    from . import models
+
     opts_split = estimator.ThamesOptions(split=True)
     opts_nosplit = estimator.ThamesOptions(split=False)
 
@@ -85,6 +93,7 @@ DIRMULT_D_GRID = (1, 20, 50)
 def dirmult(seed, reps, n=400, l=150, t=10000, a0=1.0):
     """Count-model runs: fixed true frequencies versus frequencies drawn
     from the prior, the latter with the simplex volume-ratio adjustment."""
+    from . import models
 
     def task(index, regime, d, rep, mu):
         data_seed = spawn_seed(seed, 3 * index + 1)
@@ -117,6 +126,8 @@ def dirmult(seed, reps, n=400, l=150, t=10000, a0=1.0):
 
 def prostate(seed, reps, t=10000, sigma2=1.0):
     """Nested-regression comparison on the bundled prostate table."""
+    from . import models
+
     opts = estimator.ThamesOptions(split=False)
 
     def task(i, k, model):
@@ -133,6 +144,8 @@ def prostate(seed, reps, t=10000, sigma2=1.0):
 def toy(seed, reps, t=2000, stride=50):
     """Running-estimate traces on the two-dimensional all-zeros dataset,
     contrasting the truncated estimator with the plain harmonic mean."""
+    from . import models
+
     model = models.GaussianMeanModel(s0=1.0, data=np.zeros((20, 2)))
     exact = model.exact_log_marginal()
     draws = model.posterior_sample(t, spawn_seed(seed, 0))
@@ -165,6 +178,17 @@ EXPERIMENTS = {
 }
 
 
+def _check_reps(reps):
+    """Raise InvalidInput unless reps is an integer replication count, >= 1."""
+    try:
+        reps = operator.index(reps)
+    except TypeError:
+        raise InvalidInput(f"replication count {reps!r:.40} is not an integer") from None
+    if reps < 1:
+        raise InvalidInput(f"replication count must be >= 1, got {reps}")
+
+
 def run(name, seed, reps):
     """The rows of experiment name, in task order."""
+    _check_reps(reps)
     return [row for task in EXPERIMENTS[name][0](seed, reps) for row in task()]

@@ -159,8 +159,11 @@ class LinRegModel:
 
     def log_likelihood(self, draws):
         b = np.atleast_2d(np.asarray(draws, dtype=float))
-        resid = self.y[None, :] - b @ self.X.T
-        sq = np.sum(resid ** 2, axis=1)
+        # y - b X^T, squared, in the one T x n array the product makes
+        resid = b @ self.X.T
+        np.subtract(self.y, resid, out=resid)
+        np.square(resid, out=resid)
+        sq = np.sum(resid, axis=1)
         return -0.5 * (self.n * (LOG_2PI + np.log(self.sigma2)) + sq / self.sigma2)
 
     def log_post(self, draws):
@@ -214,7 +217,9 @@ class DirMultModel:
         the logs of their K coordinates, the last completed to sum to one."""
         full = self._full_simplex(draws)
         ok = np.all(full > 0.0, axis=1)
-        return ok, np.log(full[ok])
+        if not ok.all():
+            full = full[ok]
+        return ok, np.log(full, out=full)
 
     @staticmethod
     def _log_dirichlet_pdf(ok, log_full, alpha):
@@ -279,8 +284,8 @@ class DirMultModel:
         """Exact Dirichlet draws (normalized Gammas), last coordinate dropped."""
         rng = _rng(seed)
         g = rng.standard_gamma(self.posterior_alpha(), size=(t, self.k))
-        full = g / g.sum(axis=1, keepdims=True)
-        return full[:, : self.d]
+        g /= g.sum(axis=1, keepdims=True)
+        return g[:, : self.d]
 
     def support(self):
         return SupportPredicate.simplex()

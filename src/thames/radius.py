@@ -32,8 +32,10 @@ from .geometry import logsumexp
 # the series window grows with c; at this radius the SCV already overflows
 # a double for every d up to 500 000
 MAX_RADIUS = 1000.0
-# Newton steps allowed for c_d; a few suffice whenever _foc changes sign
+# Newton steps allowed for c_d and the chi-squared median; a few suffice
+# whenever the function changes sign
 _MAX_STEPS = 100
+_EXP_M700 = math.exp(-700.0)
 
 
 @dataclass(frozen=True)
@@ -151,44 +153,101 @@ def _foc(d, c):
     return np.log(2.0 * d) + log_f(d, c) - 2.0 * np.log(c) - 0.5 * c * c
 
 
+def _newton_root(value_and_slope, x, lo, hi, failure):
+    """Root in (lo, hi) of a function positive at lo and negative at hi.
+
+    value_and_slope(x) gives the function and its derivative at x.
+    Newton steps start at x; one that would leave the bracket of the
+    signs seen so far bisects it instead. The iteration stops at a
+    Newton step of at most 1e-12 x, or raises NumericalFailure(failure)
+    after _MAX_STEPS.
+    """
+    for _ in range(_MAX_STEPS):
+        g, slope = value_and_slope(x)
+        if g == 0.0:
+            return x
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = -g / slope
+        if abs(step) <= 1e-12 * x:
+            return x + step
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+    raise NumericalFailure(failure)
+
+
 @functools.cache
 def optimal_radius(d):
     """Unique SCV-minimizing radius c_d, the root of _foc in [sqrt(d), sqrt(d+4)]; cached.
 
     _foc is positive at sqrt(d), negative at sqrt(d+4), and its
     derivative is (2d exp(-g) - d - c^2) / c with g = _foc(d, c), so a
-    Newton step costs one log_f call. The steps start at sqrt(d+1); one
-    that would leave the bracket of the signs seen so far bisects it
-    instead. The iteration stops at a Newton step of at most 1e-12 c.
+    Newton step costs one log_f call. The steps start at sqrt(d+1).
     """
     d = _check_dim(d)
-    lo, hi = math.sqrt(d), math.sqrt(d + 4.0)
-    c = math.sqrt(d + 1.0)
-    for _ in range(_MAX_STEPS):
+
+    def foc_and_slope(c):
         g = float(_foc(d, c))
-        if g == 0.0:
-            break
-        if g > 0.0:
-            lo = c
-        else:
-            hi = c
-        slope = (2.0 * d * math.exp(-g) - d - c * c) / c
-        step = -g / slope
-        if abs(step) <= 1e-12 * c:
-            c += step
-            break
-        c = c + step if lo < c + step < hi else 0.5 * (lo + hi)
-    else:
-        raise NumericalFailure(f"no sign change bracketing c_{d}")
+        return g, (2.0 * d * math.exp(-g) - d - c * c) / c
+
+    c = _newton_root(foc_and_slope, math.sqrt(d + 1.0), math.sqrt(d),
+                     math.sqrt(d + 4.0), f"no sign change bracketing c_{d}")
     return OptimalRadius(c_d=c, l_d=c * c - d, scv_at_opt=scv_normal(d, c))
 
 
-def chi_square_median_radius(d):
-    """sqrt of the chi-squared(d) median, the x with P(d/2, x/2) = 1/2."""
-    from scipy.special import gammaincinv
+def chi2_cdf(d, q):
+    """P(d/2, q/2), the chi-squared(d) CDF at q, for a positive integer d.
 
+    One minus the finite upper tail (Abramowitz & Stegun 26.4.4-5) with
+    x = q/2: e^-x sum_{k < d/2} x^k / k! for even d, and for odd d
+    erfc(sqrt x) + e^-x sum_{k < (d-1)/2} x^(k+1/2) / Gamma(k + 3/2).
+    Each term is the one before times x / (k + h), h = 0 or 1/2. The
+    sum is kept scaled by e^x, which is taken back at the end, so that
+    no term underflows for x > 700; whenever it passes 1e290 it is
+    multiplied by e^-700 and the shift is carried exactly. From
+    q = 4d + 400 on, the tail is below 2^-60 and 1.0 is returned, so no
+    ratio overflows.
+    """
     d = _check_dim(d)
-    return float(np.sqrt(2.0 * gammaincinv(0.5 * d, 0.5)))
+    if not q >= 0.0:
+        raise InvalidInput(f"chi-squared argument must be >= 0, got {q}")
+    if q >= 4.0 * d + 400.0:
+        return 1.0
+    x = 0.5 * q
+    h = 0.5 * (d % 2)
+    term = 2.0 * math.sqrt(x / math.pi) if h else 1.0
+    total, shift = 0.0, 0.0
+    for k in range(d // 2):
+        if k:
+            term *= x / (k + h)
+        total += term
+        if total > 1e290:
+            total, term, shift = total * _EXP_M700, term * _EXP_M700, shift + 700.0
+    tail = total * math.exp(shift - x)
+    if h:
+        tail += math.erfc(math.sqrt(x))
+    return 1.0 - tail
+
+
+@functools.cache
+def chi_square_median_radius(d):
+    """sqrt of the chi-squared(d) median, the q with chi2_cdf(d, q) = 1/2; cached.
+
+    The median lies in (d - 1, d). Newton steps on 1/2 - chi2_cdf(d, q),
+    whose slope is minus the chi-squared(d) density, start at the
+    Wilson-Hilferty value d (1 - 2/(9d))^3.
+    """
+    d = _check_dim(d)
+    log_norm = 0.5 * d * math.log(2.0) + math.lgamma(0.5 * d)
+
+    def gap_and_slope(q):
+        density = math.exp((0.5 * d - 1.0) * math.log(q) - 0.5 * q - log_norm)
+        return 0.5 - chi2_cdf(d, q), -density
+
+    q = _newton_root(gap_and_slope, d * (1.0 - 2.0 / (9.0 * d)) ** 3, d - 1.0,
+                     float(d), f"no chi-squared median found for d = {d}")
+    return math.sqrt(q)
 
 
 def scv_bounds(d):

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
-from thames import radius
+from thames import experiments, radius
 from thames.cli import (
     _load_csv_columns,
     _load_jsonl_columns,
@@ -29,7 +28,7 @@ from thames.cli import (
     parse_support,
 )
 from thames.correction import ConstrainedCorrectionConfig, SupportPredicate
-from thames.errors import ParseError
+from thames.errors import InvalidInput, ParseError
 from thames.estimator import ThamesOptions, thames
 from thames.experiments import EXPERIMENTS
 from thames.models import (
@@ -842,7 +841,7 @@ class TestScvCommand:
             assert float(row["c"]) == c
             assert float(row["scv"]) == radius.scv_normal(d, c)
             c_d = radius.optimal_radius(d).c_d
-            assert float(row["hpd_mass"]) == special.gammainc(0.5 * d, 0.5 * c_d ** 2)
+            assert float(row["hpd_mass"]) == radius.chi2_cdf(d, c_d ** 2)
 
     def test_optimal_root_find_runs_once_per_dimension(self, capsys, monkeypatch):
         # every solve for c_d starts with one evaluation at sqrt(d + 1)
@@ -918,6 +917,12 @@ class TestReplicateCommand:
         name = EXPERIMENTS["gaussian-d"][1]
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize("reps", [2.5, 0, -1, "3"])
+    def test_library_run_rejects_bad_reps(self, reps):
+        # the CLI's --reps check and the library's are one check
+        with pytest.raises(InvalidInput, match="^replication count"):
+            experiments.run("gaussian-d", 0, reps)
+
     def test_prostate_ranking(self, tmp_path, capsys):
         code, _ = run_cli(capsys, "replicate", "prostate", "--out", str(tmp_path))
         assert code == 0
@@ -938,58 +943,66 @@ class TestStartupImports:
             import json, sys
             from thames.cli import main
 
-            def loaded(package):
-                return sorted(m for m in sys.modules
-                              if m == package or m.startswith(package + "."))
+            def loaded(*packages):
+                return sorted(m for m in sys.modules for p in packages
+                              if m == p or m.startswith(p + "."))
 
-            runs = [
+            def run(*runs):
+                codes = [main(argv) for argv in runs]
+                return {{"codes": codes, "scipy": loaded("scipy"),
+                         "models": loaded("thames.models"),
+                         "hashlib": loaded("hashlib", "_hashlib"),
+                         "futures": loaded("concurrent.futures")}}
+
+            result = {{}}
+            # scv needs no checksum and no model
+            result["scv"] = run(["scv", "--dmax", "3"])
+            result["estimate"] = run(
                 ["estimate", {path!r}],
                 ["estimate", {path!r}, "--radius", "grid:1.5,2,2.5", "--ar1"],
                 ["estimate", {path!r}, "--radius", "optimal"],
+                ["estimate", {path!r}, "--radius", "chisq_median"],
+                # a one-block volume ratio starts no thread pool
                 ["correct", {path!r}, "--support", "positive:0,1", "--n", "1000"],
+            )
+            result["replicate"] = run(
                 ["replicate", "gaussian-T", "--out", {str(tmp_path)!r}],
                 ["replicate", "toy-figure7", "--out", {str(tmp_path)!r}],
                 ["replicate", "dirmult", "--reps", "1", "--out", {str(tmp_path)!r}],
-            ]
-            codes = [main(argv) for argv in runs]
-            before = loaded("scipy")
-            # a one-block volume ratio starts no thread pool
-            futures = loaded("concurrent.futures")
-            # scv needs the regularized gamma function, and imports it when it runs
-            codes.append(main(["scv", "--dmax", "3"]))
+            )
             with open({report!r}, "w") as fh:
-                json.dump({{"codes": codes, "before": before, "futures": futures,
-                           "after": loaded("scipy")}}, fh)
+                json.dump(result, fh)
         """)
         src = os.path.dirname(os.path.dirname(radius.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", script], env=env, check=True,
                        stdout=subprocess.DEVNULL)
         with open(report) as fh:
-            result = json.load(fh)
-        assert result["codes"] == [0] * 8
-        assert result["before"] == []
-        assert result["futures"] == []
-        assert "scipy.special" in result["after"]
-        assert not [m for m in result["after"] if m.startswith("scipy.optimize")]
+            scv, estimate, replicate = json.load(fh).values()
+        assert scv["codes"] == [0] and estimate["codes"] == [0] * 5
+        assert replicate["codes"] == [0] * 3
+        assert scv["scipy"] == estimate["scipy"] == replicate["scipy"] == []
+        assert scv["models"] == estimate["models"] == []
+        assert replicate["models"] == ["thames.models"]
+        assert scv["hashlib"] == []
+        assert estimate["futures"] == []
 
     @pytest.mark.parametrize("argv", [
-        ["scv", "--dmax", "2"],
+        ["scv", "--dmax", "200"],
         ["estimate", "{path}", "--radius", "chisq_median"],
     ], ids=["scv", "estimate chisq_median"])
-    def test_missing_scipy_is_environment_error(self, tmp_path, argv):
+    def test_runs_without_scipy(self, tmp_path, argv):
+        # with scipy unimportable the command prints the same bytes
         path = str(tmp_path / "draws.csv")
         write_draw_csv(path, t=1000)
         argv = [a.format(path=path) for a in argv]
-        script = ('import sys; sys.modules["scipy"] = None; '
-                  f"from thames.cli import main; sys.exit(main({argv!r}))")
         src = os.path.dirname(os.path.dirname(radius.__file__))
-        run = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                             text=True, env=dict(os.environ, PYTHONPATH=src))
-        assert run.returncode == 1
-        assert "Traceback" not in run.stderr
-        lines = run.stdout.splitlines()
-        assert len(lines) == 1
-        error = json.loads(lines[0])
-        assert error["error"] == "environment"
-        assert error["module"].split(".")[0] == "scipy"
+        outs = []
+        for block in ('sys.modules["scipy"] = None; ', ""):
+            script = (f"import sys; {block}"
+                      f"from thames.cli import main; sys.exit(main({argv!r}))")
+            run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                 env=dict(os.environ, PYTHONPATH=src))
+            assert run.returncode == 0, run.stdout + run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]

@@ -631,6 +631,12 @@ class TestEstimatorIntegration:
             ConstrainedCorrectionConfig(support=SupportPredicate.unbounded(),
                                         n_samples=0)
 
+    @pytest.mark.parametrize("support", ["positive:0", None, ORTHANT.contains])
+    def test_config_rejects_a_support_that_is_not_a_predicate(self, support):
+        # thames() would end in AttributeError on any of these
+        with pytest.raises(InvalidInput, match="^support must be a SupportPredicate"):
+            ConstrainedCorrectionConfig(support=support)
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, None])
     def test_config_validates_seed(self, seed):
         with pytest.raises(InvalidInput):

@@ -19,6 +19,7 @@ from thames.models import (
     prostate_data,
     prostate_models,
 )
+from thames.seeds import _rng
 
 RNG = np.random.default_rng(2024)
 LOG_2PI = math.log(2.0 * math.pi)
@@ -121,6 +122,17 @@ class TestLinRegModel:
         assert np.allclose(draws.mean(axis=0), m_n, atol=0.01)
         assert np.allclose(np.cov(draws, rowvar=False), sigma_n, atol=0.01)
 
+    def test_log_likelihood_matches_out_of_place_expression(self):
+        # the residuals are formed and squared in place; the floats are those
+        # of the expression below
+        model = prostate_models()[8]
+        b = model.posterior_sample(300, seed=7)
+        resid = model.y[None, :] - b @ model.X.T
+        sq = np.sum(resid ** 2, axis=1)
+        expected = -0.5 * (model.n * (LOG_2PI + np.log(model.sigma2))
+                           + sq / model.sigma2)
+        assert np.array_equal(model.log_likelihood(b), expected)
+
     def test_validation(self):
         with pytest.raises(InvalidInput):
             LinRegModel(np.ones((3, 1)), np.ones(4), 1.0, 1.0)
@@ -217,6 +229,14 @@ class TestDirMultModel:
         draws = model.posterior_sample(200_000, seed=3)
         expected = (alpha / alpha.sum())[: model.d]
         assert np.allclose(draws.mean(axis=0), expected, atol=0.002)
+
+    def test_posterior_sample_matches_out_of_place_expression(self):
+        # the Gammas are normalized in place; the floats are those of the
+        # expression below, on the same generator stream
+        model = self._model(k=6, n=40, l=30)
+        g = _rng(11).standard_gamma(model.posterior_alpha(), size=(400, model.k))
+        expected = (g / g.sum(axis=1, keepdims=True))[:, : model.d]
+        assert np.array_equal(model.posterior_sample(400, seed=11), expected)
 
     def test_support_is_simplex(self):
         model = self._model(k=3)

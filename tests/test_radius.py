@@ -16,6 +16,7 @@ from thames.errors import InvalidInput, NumericalFailure, Overflow
 from thames.radius import (
     MAX_RADIUS,
     RadiusPolicy,
+    chi2_cdf,
     chi_square_median_radius,
     log_f,
     optimal_radius,
@@ -221,9 +222,31 @@ class TestOptimalRadius:
                 radius.optimal_radius.__wrapped__(3)
 
 
+class TestChi2Cdf:
+    def test_matches_gammainc(self):
+        for d in range(1, 201):
+            c_d2 = optimal_radius(d).c_d ** 2
+            for q in (0.0, 1e-300, 1e-12, 1e-3, 0.3 * d, c_d2, d + 1.0, 3.0 * d,
+                      4.0 * d + 399.0):
+                assert abs(chi2_cdf(d, q) - special.gammainc(0.5 * d, 0.5 * q)) \
+                    <= 1e-14, (d, q)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 200, 1500, 20_000])
+    def test_rescaled_sum_beyond_the_range_of_exp(self, d):
+        # x = q/2 passes 700 for d > 1400: e^-x alone would underflow
+        for q in (d - 1.0, d + 2.0 * math.sqrt(d), 4.0 * d + 400.0, 1e300, math.inf):
+            assert chi2_cdf(d, q) == pytest.approx(
+                special.gammainc(0.5 * d, 0.5 * q), rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("q", [-1.0, -1e-300, math.nan])
+    def test_rejects_negative_or_nan(self, q):
+        with pytest.raises(InvalidInput):
+            chi2_cdf(3, q)
+
+
 class TestChiSquareMedianRadius:
     def test_matches_scipy_ppf(self):
-        for d in (1, 2, 5, 20, 100):
+        for d in (1, 2, 5, 20, 100, 5000):
             expected = math.sqrt(stats.chi2.ppf(0.5, df=d))
             assert chi_square_median_radius(d) == pytest.approx(expected, rel=1e-9)
 
