@@ -123,11 +123,16 @@ _THETA_RE = re.compile(r"^theta_(\d+)$")
 
 
 def _classify_columns(names):
+    """(theta names in index order, density names) from distinct column names."""
     thetas = {}
     for name in names:
         m = _THETA_RE.match(name)
         if m:
-            thetas[int(m.group(1))] = name
+            i = int(m.group(1))
+            if i in thetas:  # theta_1 and theta_01
+                raise ParseError(f"columns {thetas[i]!r} and {name!r} are both "
+                                 f"theta {i}", line=1)
+            thetas[i] = name
     if not thetas:
         raise ParseError("no theta_<i> columns found", line=1)
     expected = list(range(1, len(thetas) + 1))
@@ -378,14 +383,11 @@ def parse_radius_policy(spec):
             return RadiusPolicy.optimal()
         if spec.startswith("fixed:"):
             return RadiusPolicy.fixed(float(spec[len("fixed:"):]))
-        if spec.startswith("grid:"):
-            values = [float(tok) for tok in spec[len("grid:"):].split(",") if tok]
-            return RadiusPolicy.empirical_grid(values)
     except (InvalidInput, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"radius policy {spec!r}: {exc}")
     raise argparse.ArgumentTypeError(
         f"unknown radius policy {spec!r}; expected sqrt_d_plus_1, fixed:<c>, "
-        "chisq_median, optimal, or grid:<c1,c2,...>")
+        "chisq_median, or optimal")
 
 
 def parse_support(spec):
@@ -486,11 +488,7 @@ SCV_POLICIES = ("sqrt_d_plus_1", "optimal", "chisq_median")
 
 def parse_scv_policy(spec):
     """(spec, policy) for an scv --policies entry; the spec is printed as typed."""
-    policy = parse_radius_policy(spec)
-    if policy.kind == "grid":
-        raise argparse.ArgumentTypeError(
-            f"radius policy {spec!r}: a grid is tuned on draws, and scv has none")
-    return spec, policy
+    return spec, parse_radius_policy(spec)
 
 
 def cmd_scv(args, stdout):
@@ -560,8 +558,7 @@ def build_parser():
     table.add_argument("input")
     table.add_argument("--radius", type=parse_radius_policy,
                        default=RadiusPolicy.sqrt_d_plus_1(),
-                       help="sqrt_d_plus_1 | fixed:<c> | chisq_median | "
-                            "optimal | grid:<c1,c2,...>")
+                       help="sqrt_d_plus_1 | fixed:<c> | chisq_median | optimal")
     table.add_argument("--no-split", action="store_true")
     table.add_argument("--ci", type=_checked(float, _check_level), default=0.95)
 

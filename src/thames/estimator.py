@@ -92,7 +92,6 @@ class ThamesResult:
     ellipsoid: Ellipsoid
     correction_ratio: float = None
     correction_ci: tuple = None  # (lower, upper) CI of the volume ratio
-    radius_table: tuple = None  # grid policy: (c, log_z, se_recip_rel) rows
     n_outside_support: int = None  # correction: estimation draws outside S
 
 
@@ -188,31 +187,30 @@ def _estimate(log_terms, inside, log_norm, opts: ThamesOptions):
 
 
 def _sweep(maha, log_terms, base, grid, opts: ThamesOptions):
-    """(table, e) over a radius grid from one set of distances: the
-    (c, log_z, se_recip_rel) rows, NaN where a radius leaves the set empty
-    or holds a zero-density draw, and base at the radius with the smallest
-    finite SE, ties broken toward the smaller radius."""
-    table = []
-    for c in map(float, grid):
+    """base at the grid radius with the smallest finite SE, ties broken
+    toward the smaller radius, from one set of distances. A radius that
+    leaves the set empty or holds a zero-density draw is passed over."""
+    usable = []
+    for c in grid:
         try:
-            log_recip_z, se, _ = _estimate(log_terms, maha < c * c,
-                                           log_volume(replace(base, radius=c)), opts)
-            table.append((c, -log_recip_z, se))
+            _, se, _ = _estimate(log_terms, maha < c * c,
+                                 log_volume(replace(base, radius=c)), opts)
         except (EmptyTruncationSet, DegenerateTerm):
-            table.append((c, np.nan, np.nan))
-    usable = [(se, c) for c, _, se in table if np.isfinite(se)]
+            continue
+        if np.isfinite(se):
+            usable.append((se, c))
     if not usable:
         raise EmptyTruncationSet(
             "no grid radius gives a finite SE: each left the truncation set "
             "empty, kept a single draw or held a zero-density draw")
-    return tuple(table), replace(base, radius=min(usable)[1])
+    return replace(base, radius=min(usable)[1])
 
 
 def _truncate(draws, log_post, opts: ThamesOptions, ellipsoid=None):
-    """(log_terms, inside, e, table, n_outside): -log_post over the
-    estimation draws, the mask of e intersected with the support of
-    opts.correction, the ellipsoid, the grid table and the count of
-    estimation draws outside the support, each of the last two or None.
+    """(log_terms, inside, e, n_outside): -log_post over the estimation
+    draws, the mask of e intersected with the support of opts.correction,
+    the ellipsoid and the count of estimation draws outside the support,
+    or None without a correction.
     """
     a = as_draw_matrix(draws, min_rows=2)
     lp = as_log_density_vector(log_post, a.shape[0])
@@ -231,9 +229,8 @@ def _truncate(draws, log_post, opts: ThamesOptions, ellipsoid=None):
         e = _fit(fit_part, c)
     maha = _mahalanobis_sq(a, e)
     log_terms = -lp  # log(1/(L pi)) per estimation draw
-    table = None
     if grid:
-        table, e = _sweep(maha, log_terms, e, grid, opts)
+        e = _sweep(maha, log_terms, e, grid, opts)
 
     inside = maha < e.radius * e.radius  # strict: boundary ties excluded
     n_outside = None
@@ -241,7 +238,7 @@ def _truncate(draws, log_post, opts: ThamesOptions, ellipsoid=None):
         in_support = opts.correction.support.contains(a)
         n_outside = in_support.size - int(np.count_nonzero(in_support))
         inside &= in_support
-    return log_terms, inside, e, table, n_outside
+    return log_terms, inside, e, n_outside
 
 
 def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = None):
@@ -251,12 +248,12 @@ def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = N
     draws and the sum runs over the remainder. Passing an explicit
     ellipsoid bypasses fitting (and splitting) entirely, e.g. for oracle
     posterior moments. A radius grid reuses one set of distances for
-    every radius, picks the radius with the smallest SE on the estimation
-    draws, which biases that SE low, and reports every radius in
-    result.radius_table. A support correction is applied after the kernel.
+    every radius and picks the radius with the smallest SE on the
+    estimation draws, which biases that SE low. A support correction is
+    applied after the kernel.
     """
     opts = opts or ThamesOptions()
-    log_terms, inside, e, table, n_out = _truncate(draws, log_post, opts, ellipsoid)
+    log_terms, inside, e, n_out = _truncate(draws, log_post, opts, ellipsoid)
     r_hat = r_ci = None
     if opts.correction is not None:
         from .correction import estimate_volume_ratio
@@ -281,7 +278,6 @@ def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = N
         ellipsoid=e,
         correction_ratio=r_hat,
         correction_ci=r_ci,
-        radius_table=table,
         n_outside_support=n_out,
     )
 
@@ -291,6 +287,6 @@ def empirical_scv(draws, log_post, c, opts: ThamesOptions = None):
     from the SE of the sum alone: a volume ratio adds no error to it."""
     opts = replace(opts or ThamesOptions(), radius_policy=RadiusPolicy.fixed(c),
                    serial_correction="none")
-    log_terms, inside, e, _, _ = _truncate(draws, log_post, opts)
+    log_terms, inside, e, _ = _truncate(draws, log_post, opts)
     _, se, _ = _estimate(log_terms, inside, log_volume(e), opts)
     return float(inside.shape[0] * se ** 2)

@@ -26,7 +26,7 @@ from . import estimator
 from .correction import ConstrainedCorrectionConfig
 from .errors import InvalidInput, NumericalError
 from .geometry import Ellipsoid
-from .seeds import spawn_seed
+from .seeds import _check_seed, spawn_seed
 
 GAUSSIAN_T_GRID = tuple([5] + list(range(1005, 9006, 1000)))
 
@@ -190,5 +190,9 @@ def _check_reps(reps):
 
 def run(name, seed, reps):
     """The rows of experiment name, in task order."""
+    if name not in EXPERIMENTS:
+        raise InvalidInput(f"unknown experiment {name!r:.40}; expected one of "
+                           + ", ".join(sorted(EXPERIMENTS)))
+    _check_seed(seed)
     _check_reps(reps)
     return [row for task in EXPERIMENTS[name][0](seed, reps) for row in task()]

@@ -227,7 +227,7 @@ class DirMultModel:
         if np.any(ok):
             log_norm = (math.lgamma(np.sum(alpha))
                         - np.sum(np.array([math.lgamma(a) for a in alpha])))
-            out[ok] = log_norm + np.sum((alpha - 1.0) * log_full, axis=1)
+            out[ok] = log_norm + log_full @ (alpha - 1.0)
         return out
 
     @functools.cached_property

@@ -78,6 +78,7 @@ class RadiusPolicy:
     def optimal(cls):
         return cls("optimal")
 
+    # kept only while bench/ times grid_tune_d100; ROADMAP item 3 deletes it
     @classmethod
     def empirical_grid(cls, cs):
         return cls("grid", grid=cs)
@@ -93,8 +94,12 @@ class OptimalRadius:
 
 
 def _check_dim(d):
-    if int(d) != d or d < 1:
-        raise InvalidInput(f"dimension must be a positive integer, got {d}")
+    try:
+        ok = int(d) == d and d >= 1
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+        ok = False
+    if not ok:
+        raise InvalidInput(f"dimension must be a positive integer, got {d!r:.40}")
     return int(d)
 
 

@@ -122,17 +122,22 @@ class TestLoadTable:
         _, log_post = load_table(path)
         assert log_post[1] == -math.inf
 
-    @pytest.mark.parametrize("text, line", [
-        ("theta_1,log_unnorm_posterior\n1.0,-1.0\nzzz,-2.0\n", 3),
-        ('theta_1,note,log_unnorm_posterior\n1,"a\nb",2\nzzz,c,4\n', 4),
-    ], ids=["one line per record", "after a quoted newline"])
-    def test_parse_error_names_line(self, tmp_path, text, line):
+    @pytest.mark.parametrize("text, line, message", [
+        ("theta_1,log_unnorm_posterior\n1.0,-1.0\nzzz,-2.0\n", 3,
+         "cannot parse 'zzz'"),
+        ('theta_1,note,log_unnorm_posterior\n1,"a\nb",2\nzzz,c,4\n', 4,
+         "cannot parse 'zzz'"),
+        ("theta_1,theta_01,log_unnorm_posterior\n1,2,-1\n", 1,
+         "columns 'theta_1' and 'theta_01' are both theta 1"),
+    ], ids=["one line per record", "after a quoted newline",
+            "one theta index twice"])
+    def test_parse_error_names_line(self, tmp_path, text, line, message):
         path = str(tmp_path / "draws.csv")
         with open(path, "w", newline="") as fh:
             fh.write(text)
         with pytest.raises(ParseError) as exc_info:
             load_table(path)
-        assert exc_info.value.line == line
+        assert exc_info.value.line == line and message in str(exc_info.value)
 
     @pytest.mark.parametrize("value", ["true", "false", "9" * 400, "9" * 5000,
                                        "[" * 100_000],
@@ -228,6 +233,8 @@ INGEST_CASES = [
      "c1,-1.5,0.2,-0.5,0.1\nchain-2,-2.5,0.3,-0.25,-0.4\n", True),
     ("duplicated header name, last wins",
      "theta_1,theta_1,log_unnorm_posterior\nabc,0.5,-1\n7,0.25,-2\n", True),
+    ("two names for one theta index",
+     "theta_1,theta_01,log_unnorm_posterior\n1,2,-1\n3,4,-2\n", False),
     ("quotes, padding, CRLF, blank lines",
      'theta_1,"log_unnorm_posterior"\r\n"1.5", -2.0 \r\n\r\n 0.25 ,"-3"\r\n'
      "\r\n4,5\r\n", True),
@@ -281,6 +288,8 @@ JSONL_INGEST_CASES = [
      '"log_likelihood": -2.5, "note": [1, {"x": null}]}\n', True),
     ("duplicated key, last wins",
      '{"theta_1": "abc", "theta_1": 0.5, "log_unnorm_posterior": -1}\n', True),
+    ("two keys for one theta index",
+     '{"theta_1": 1, "theta_01": 2, "log_unnorm_posterior": -1}\n', False),
     ("blank, whitespace-only and CRLF lines",
      J2 + "\n   \n\t\r\n" + J2.replace("\n", "\r\n"), True),
     ("-Infinity log_prior",
@@ -383,9 +392,9 @@ class TestFlagParsing:
         assert parse_radius_policy("fixed:2.5").value == 2.5
         assert parse_radius_policy("chisq_median").kind == "chisq_median"
         assert parse_radius_policy("optimal").kind == "optimal"
-        assert parse_radius_policy("grid:1,2,3").grid == (1.0, 2.0, 3.0)
-        with pytest.raises(Exception):
-            parse_radius_policy("bogus")
+        for spec in ("bogus", "grid:1,2,3"):
+            with pytest.raises(Exception, match="unknown radius policy"):
+                parse_radius_policy(spec)
 
     def test_supports(self):
         assert parse_support("unbounded").kind == "unbounded"
@@ -422,7 +431,7 @@ class TestEstimateCommand:
     def test_deterministic_output(self, tmp_path, capsys):
         path = str(tmp_path / "draws.csv")
         write_draw_csv(path, t=1000)
-        argv = ("estimate", path, "--radius", "grid:1.0,1.5,2.0", "--no-split")
+        argv = ("estimate", path, "--radius", "fixed:1.5", "--no-split")
         _, out1 = run_cli(capsys, *argv)
         _, out2 = run_cli(capsys, *argv)
         assert out1 == out2
@@ -455,8 +464,6 @@ class TestEstimateCommand:
         ("--radius", "fixed:-1"),
         ("--radius", "fixed:nan"),
         ("--radius", "fixed:inf"),
-        ("--radius", "grid:"),
-        ("--radius", "grid:1,nan"),
         ("--support", "box:1:0"),
         ("--support", "positive:x"),
         ("--support", "box:nan:1,0:1"),
@@ -473,6 +480,24 @@ class TestEstimateCommand:
         assert len(lines) == 1
         report = json.loads(lines[0])
         assert report["error"] == "usage" and flag in report["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "{path}", "--radius", "grid:1,2"],
+        ["correct", "{path}", "--support", "unbounded", "--radius", "grid:"],
+        ["correct", "{path}", "--support", "unbounded", "--radius", "grid:1,nan"],
+        ["scv", "--policies", "grid:1,2"],
+    ])
+    def test_grid_spec_is_unknown(self, tmp_path, capsys, argv):
+        # the empirical radius grid is library-only
+        path = str(tmp_path / "draws.csv")
+        write_draw_csv(path, t=200)
+        code, out = run_cli(capsys, *[a.format(path=path) for a in argv])
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "usage"
+        assert "unknown radius policy" in report["message"]
 
     def test_usage_error_exit_code(self, capsys):
         code = main(["estimate"])  # missing input path
@@ -694,7 +719,7 @@ class TestMalformedFlagProperties:
             assert code == 2
             assert report["error"] == "usage" and flag in report["message"]
 
-    @given(flag_text("fixed:", "grid:", "grid:1,", "fixed:1e"))
+    @given(flag_text("fixed:", "fixed:1e"))
     @settings(max_examples=60, deadline=None)
     def test_radius(self, small_table, text):
         self.check(["estimate", small_table, f"--radius={text}"], "--radius",
@@ -729,7 +754,7 @@ class TestMalformedFlagProperties:
         self.check(["scv", "--policies", "sqrt_d_plus_1", f"--dmax={text}"],
                    "--dmax")
 
-    @given(flag_text("fixed:", "fixed:1e", "grid:"))
+    @given(flag_text("fixed:", "fixed:1e"))
     @settings(max_examples=60, deadline=None)
     def test_scv_policies(self, text):
         self.check(["scv", "--dmax", "2", f"--policies={text}"], "--policies",
@@ -917,11 +942,20 @@ class TestReplicateCommand:
         name = EXPERIMENTS["gaussian-d"][1]
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    @pytest.mark.parametrize("reps", [2.5, 0, -1, "3"])
-    def test_library_run_rejects_bad_reps(self, reps):
-        # the CLI's --reps check and the library's are one check
-        with pytest.raises(InvalidInput, match="^replication count"):
-            experiments.run("gaussian-d", 0, reps)
+    @pytest.mark.parametrize("name, seed, reps, message", [
+        ("gaussian-d", 0, 2.5, "^replication count"),
+        ("gaussian-d", 0, 0, "^replication count"),
+        ("gaussian-d", 0, -1, "^replication count"),
+        ("gaussian-d", 0, "3", "^replication count"),
+        ("nope", 0, 1, "^unknown experiment 'nope'; expected one of dirmult, "),
+        ("gaussian-T", -1, 1, "^seed must be in"),
+        ("gaussian-T", 2**64, 1, "^seed must be in"),
+        ("gaussian-T", 1.5, 1, "^seed 1.5 is not an integer"),
+    ])
+    def test_library_run_rejects_bad_arguments(self, name, seed, reps, message):
+        # the CLI's --seed and --reps checks and the library's are one check
+        with pytest.raises(InvalidInput, match=message):
+            experiments.run(name, seed, reps)
 
     def test_prostate_ranking(self, tmp_path, capsys):
         code, _ = run_cli(capsys, "replicate", "prostate", "--out", str(tmp_path))
@@ -959,7 +993,7 @@ class TestStartupImports:
             result["scv"] = run(["scv", "--dmax", "3"])
             result["estimate"] = run(
                 ["estimate", {path!r}],
-                ["estimate", {path!r}, "--radius", "grid:1.5,2,2.5", "--ar1"],
+                ["estimate", {path!r}, "--radius", "fixed:2", "--ar1"],
                 ["estimate", {path!r}, "--radius", "optimal"],
                 ["estimate", {path!r}, "--radius", "chisq_median"],
                 # a one-block volume ratio starts no thread pool

@@ -487,11 +487,12 @@ class TestApplyCorrection:
         assert res.ci_log_z[1] == pytest.approx(
             -(res.log_recip_z + math.log(1.0 - z * res.se_recip_rel)), rel=1e-14)
 
-    def test_grid_table_is_uncorrected(self):
+    def test_grid_choice_is_uncorrected(self):
+        # at n = 200 the volume ratio's variance moves the smallest
+        # corrected SE to 1.5; the uncorrected one is at 2.0
         grid = RadiusPolicy.empirical_grid((1.0, 1.5, 2.0, 2.5))
-        plain, res = corrected(ORTHANT, radius_policy=grid)
-        assert res.radius_table == plain.radius_table
-        assert res.radius_used == plain.radius_used
+        plain, res = corrected(ORTHANT, n_samples=200, radius_policy=grid)
+        assert res.radius_used == plain.radius_used == 2.0
         assert res.log_z == plain.log_z + math.log(res.correction_ratio)
 
 

@@ -284,60 +284,55 @@ class TestHarmonicMean:
             harmonic_mean_log_z(np.array([-1.0, -np.inf]))
 
 
-def grid_table(draws, log_post, grid, opts=None):
-    """(c_best, radius_table) of a grid-policy estimate."""
+def grid_estimate(draws, log_post, grid, opts=None):
+    """The grid-policy estimate."""
     opts = replace(opts or ThamesOptions(),
                    radius_policy=RadiusPolicy.empirical_grid(grid))
-    res = thames(draws, log_post, opts)
-    return res.radius_used, res.radius_table
+    return thames(draws, log_post, opts)
+
+
+def fixed_radius_estimates(draws, log_post, grid, opts=None):
+    """The fixed-radius estimate at each grid radius, None where the
+    truncation set is empty."""
+    results = []
+    for c in grid:
+        fixed = replace(opts or ThamesOptions(), radius_policy=RadiusPolicy.fixed(c))
+        try:
+            results.append(thames(draws, log_post, fixed))
+        except EmptyTruncationSet:
+            results.append(None)
+    return results
+
+
+def smallest_se(results):
+    """The estimate with the smallest finite SE, ties broken toward the
+    smaller radius."""
+    return min((r for r in results if r is not None and np.isfinite(r.se_recip_rel)),
+               key=lambda r: (r.se_recip_rel, r.radius_used))
 
 
 class TestRadiusTuning:
     def test_grid_policy_matches_manual_choice(self):
         _, draws, log_post = toy_problem()
         grid = (0.8, 1.5, math.sqrt(3.0), 2.5)
-        c_best, table = grid_table(draws, log_post, grid)
-        assert len(table) == len(grid)
-        finite = [(se, c) for c, _, se in table if np.isfinite(se)]
-        assert c_best == min(finite)[1]
-        via_policy = thames(
-            draws, log_post,
-            ThamesOptions(radius_policy=RadiusPolicy.empirical_grid(grid)))
-        direct = thames(
-            draws, log_post,
-            ThamesOptions(radius_policy=RadiusPolicy.fixed(c_best)))
-        assert via_policy.log_z == direct.log_z
-        assert direct.radius_table is None
+        best = smallest_se(fixed_radius_estimates(draws, log_post, grid))
+        via_policy = grid_estimate(draws, log_post, grid)
+        assert via_policy.radius_used == best.radius_used
+        assert via_policy.log_z == best.log_z
 
     @pytest.mark.parametrize("split", [True, False])
     @pytest.mark.parametrize("serial", ["none", "ar1"])
-    def test_rows_equal_fixed_radius_estimates(self, split, serial):
+    def test_equals_fixed_radius_estimate_with_smallest_se(self, split, serial):
         _, draws, log_post = toy_problem(t=1000)
-        # 1e-6 leaves the set empty (NaN row); 0.05 and 0.08 keep at most
-        # one draw (NaN row or infinite SE)
+        # 1e-6 leaves the set empty; 0.05 and 0.08 keep at most one draw
+        # (an empty set or an infinite SE)
         grid = (1e-6, 0.05, 0.08, 0.8, 1.5, math.sqrt(3.0), 2.5, 4.0)
         opts = ThamesOptions(split=split, serial_correction=serial)
-        c_best, table = grid_table(draws, log_post, grid, opts)
-        assert [row[0] for row in table] == list(grid)
-        for row in table:
-            fixed = replace(opts, radius_policy=RadiusPolicy.fixed(row[0]))
-            try:
-                res = thames(draws, log_post, fixed)
-            except EmptyTruncationSet:
-                assert math.isnan(row[1]) and math.isnan(row[2])
-                continue
-            assert row == (res.radius_used, res.log_z, res.se_recip_rel)
-        assert math.isnan(table[0][1])
-        assert any(se == np.inf for _, _, se in table)
-        assert c_best == min((se, c) for c, _, se in table if np.isfinite(se))[1]
-
-        via_policy = thames(draws, log_post, replace(
-            opts, radius_policy=RadiusPolicy.empirical_grid(grid)))
-        direct = thames(draws, log_post, replace(
-            opts, radius_policy=RadiusPolicy.fixed(c_best)))
-        assert via_policy.radius_table == table
-        assert_same_result(replace(via_policy, radius_table=None), direct)
-        assert via_policy.radius_used == c_best
+        results = fixed_radius_estimates(draws, log_post, grid, opts)
+        assert results[0] is None
+        assert any(r is not None and r.se_recip_rel == np.inf for r in results)
+        assert_same_result(grid_estimate(draws, log_post, grid, opts),
+                           smallest_se(results))
 
     def test_one_distance_pass_per_call(self, monkeypatch):
         import thames.estimator as est
@@ -390,15 +385,16 @@ class TestRadiusTuning:
         with pytest.raises(InvalidInput, match="dimension"):
             thames(draws, log_post, ThamesOptions(split=False), ellipsoid=wrong)
 
-    def test_unusable_radii_marked_nan(self):
+    def test_unusable_radii_passed_over(self):
         _, draws, log_post = toy_problem(t=500)
-        _, table = grid_table(draws, log_post, (1e-6, 2.0))
-        assert math.isnan(table[0][1]) and np.isfinite(table[1][1])
+        res = grid_estimate(draws, log_post, (1e-6, 2.0))
+        assert res.radius_used == 2.0
+        assert_same_result(res, fixed_radius_estimates(draws, log_post, (2.0,))[0])
 
     def test_all_empty_raises(self):
         _, draws, log_post = toy_problem(t=500)
         with pytest.raises(EmptyTruncationSet):
-            grid_table(draws, log_post, (1e-8,))
+            grid_estimate(draws, log_post, (1e-8,))
 
     def test_no_finite_se_names_both_causes(self):
         # at 0.1 and 0.2 the set keeps one draw: not empty, but the SE is
@@ -410,20 +406,20 @@ class TestRadiusTuning:
             assert res.n_inside == 1 and res.se_recip_rel == np.inf
         with pytest.raises(EmptyTruncationSet,
                            match="no grid radius gives a finite SE.*empty.*single draw"):
-            grid_table(draws, log_post, (0.1, 0.2))
+            grid_estimate(draws, log_post, (0.1, 0.2))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidInput):
             ThamesOptions(radius_policy=RadiusPolicy.empirical_grid(()))
 
-    def test_explicit_ellipsoid_has_no_table(self):
+    def test_explicit_ellipsoid_ignores_grid(self):
         model, draws, log_post = toy_problem(t=500)
         m_n, s_n = model.posterior_params()
         oracle = Ellipsoid(m_n, math.sqrt(s_n) * np.eye(2), math.sqrt(3.0))
         grid = RadiusPolicy.empirical_grid((1.0, 2.0))
         res = thames(draws, log_post, ThamesOptions(radius_policy=grid),
                      ellipsoid=oracle)
-        assert res.radius_table is None and res.radius_used == math.sqrt(3.0)
+        assert res.radius_used == math.sqrt(3.0)
 
 
 class TestEmpiricalScv:

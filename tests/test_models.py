@@ -1,6 +1,7 @@
 """Conjugate models: closed-form marginals against dense oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,19 @@ class TestDirMultModel:
             expected = model.log_prior(draws) + model.log_likelihood(draws)
             assert np.array_equal(model.log_post(draws), expected)
         assert np.all(model.log_post(outside) == -np.inf)
+
+    def test_log_post_holds_one_table_of_logs(self):
+        # the Dirichlet term is a product with the T x K logs, not a
+        # second T x K array: 4.1 MB each at K = 51, T = 10 000
+        model = self._model(k=51, n=40, l=150)
+        draws = model.posterior_sample(10_000, seed=4)
+        tracemalloc.start()
+        try:
+            model.log_post(draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     def test_densities_match_scipy(self):
         model = self._model(k=6, n=25, l=40, a0=1.5)

@@ -119,11 +119,15 @@ class TestLogF:
         assert code == 4
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "numerical"
 
-    def test_rejects_bad_arguments(self):
+    @pytest.mark.parametrize("d, c", [(0, 1.0), (3, -1.0), (math.inf, 2.0),
+                                      (math.nan, 2.0), (None, 2.0)])
+    @pytest.mark.parametrize("fn", [log_f, scv_normal])
+    def test_rejects_bad_arguments(self, fn, d, c):
         with pytest.raises(InvalidInput):
-            log_f(0, 1.0)
-        with pytest.raises(InvalidInput):
-            log_f(3, -1.0)
+            fn(d, c)
+
+    def test_accepts_integral_float_dimension(self):
+        assert log_f(3.0, 2.0) == log_f(3, 2.0)
 
     @given(st.integers(min_value=1, max_value=60),
            st.floats(min_value=0.2, max_value=9.0))
