@@ -120,6 +120,9 @@ def file_checksum(path):
 # ---------------------------------------------------------------------------
 
 _THETA_RE = re.compile(r"^theta_(\d+)$")
+# rows per block of the column compaction and of the JSONL conversion, so
+# that their temporaries stay small whatever T is
+_BLOCK_ROWS = 2048
 
 
 def _classify_columns(names):
@@ -128,6 +131,9 @@ def _classify_columns(names):
     for name in names:
         m = _THETA_RE.match(name)
         if m:
+            if not m.group(1).isascii():  # \d and int() take any Unicode digit
+                raise ParseError(f"column {name!r}: theta index is not ASCII "
+                                 "digits", line=1)
             i = int(m.group(1))
             if i in thetas:  # theta_1 and theta_01
                 raise ParseError(f"columns {thetas[i]!r} and {name!r} are both "
@@ -300,16 +306,18 @@ def _load_csv_columns(path):
 
 
 def _load_jsonl_columns(path):
-    """The records of _rows_from_jsonl in one array conversion, or None
-    to defer to the row parser.
+    """The records of _rows_from_jsonl as one array, or None to defer to
+    the row parser.
 
     Only plain JSON numbers are settled here: a string that float()
     reads, a bad value, a missing column or a line _rows_from_jsonl
     rejects goes to the row parser, which raises the ParseError of the
     first bad line or returns the same arrays. json.loads gives a number
     as an int or a float, and numpy converts an int as float() does.
+    The values are converted _BLOCK_ROWS records at a time, so that no
+    more are held as Python numbers.
     """
-    values, pick = [], None
+    chunks, values, pick = [], [], None
     try:
         for _, record in _rows_from_jsonl(path):
             if pick is None:
@@ -317,32 +325,65 @@ def _load_jsonl_columns(path):
                 names = theta_names + density_names
                 pick = operator.itemgetter(*names)  # >= 2 names: a tuple
             values.extend(pick(record))
+            if len(values) == _BLOCK_ROWS * len(names):
+                chunks.append(_float_rows(values, len(names)))
+                values = []
     except (ParseError, KeyError):
         return None
-    if pick is None or not set(map(type, values)) <= {int, float}:
+    if pick is None:
         return None
-    try:
-        table = np.array(values, dtype=float).reshape(-1, len(names))
-    except OverflowError:  # an integer beyond the float range
+    chunks.append(_float_rows(values, len(names)))
+    if any(chunk is None for chunk in chunks):
         return None
+    table = np.concatenate(chunks)
     d = len(theta_names)
     return _checked_columns(table, range(d), range(d, len(names)))
+
+
+def _float_rows(values, width):
+    """values as a float array of rows of width, or None unless each is an
+    int or a float within the float range."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        return np.array(values, dtype=float).reshape(-1, width)
+    except OverflowError:  # an integer beyond the float range
+        return None
 
 
 def _checked_columns(table, theta_idx, density_idx):
     """(draws, log_post) from the theta and density columns of a parsed
     table, or None when a theta is not finite or a density is NaN or
-    +inf, so that the row parser reports the line."""
-    draws = table.take(theta_idx, axis=1)  # C-contiguous, unlike table[:, idx]
-    density = table.take(density_idx, axis=1)
-    if (not np.isfinite(draws).all() or np.isnan(density).any()
-            or (density == np.inf).any()):
-        return None
+    +inf, so that the row parser reports the line.
+
+    The table must own its buffer, which becomes the draws: no second
+    copy of them is made. The densities are summed from views of their
+    columns. The theta columns are then moved, _BLOCK_ROWS rows at a
+    time, to the front of the buffer: a block is copied out before it is
+    written back, and the rows it is written to end before the next
+    block's first row. Last, the buffer shrinks in place to the draws,
+    so that the other columns are not held while the estimator runs.
+    """
     # left to right from 0, as sum() does: 0.0 + -0.0 is 0.0
     log_post = np.zeros(len(table))
-    for col in density.T:
+    for i in density_idx:
+        col = table[:, i]
+        if np.isnan(col).any() or (col == np.inf).any():
+            return None
         log_post += col
-    return draws, log_post
+    t, d = len(table), len(theta_idx)
+    draws = table.reshape(-1)[:t * d].reshape(t, d)
+    buf = np.empty((min(t, _BLOCK_ROWS), d))
+    for start in range(0, t, _BLOCK_ROWS):
+        block = table[start:start + _BLOCK_ROWS]
+        # into out=, the default mode="raise" buffers a second block
+        theta = block.take(theta_idx, axis=1, out=buf[:len(block)], mode="clip")
+        if not np.isfinite(theta).all():
+            return None
+        draws[start:start + len(block)] = theta
+    # the views above are not used again, so the buffer may move
+    table.resize((t, d), refcheck=False)
+    return table, log_post
 
 
 def load_table(path):

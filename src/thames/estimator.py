@@ -25,12 +25,14 @@ from .errors import (
     EmptyTruncationSet,
     InsufficientData,
     InvalidInput,
+    ThamesError,
 )
 from .geometry import (
     Ellipsoid,
+    _as_matrix,
     _fit,
     _mahalanobis_sq,
-    as_draw_matrix,
+    _require_finite,
     as_log_density_vector,
     log_volume,
     logsumexp,
@@ -211,23 +213,39 @@ def _truncate(draws, log_post, opts: ThamesOptions, ellipsoid=None):
     draws, the mask of e intersected with the support of opts.correction,
     the ellipsoid and the count of estimation draws outside the support,
     or None without a correction.
-    """
-    a = as_draw_matrix(draws, min_rows=2)
-    lp = as_log_density_vector(log_post, a.shape[0])
-    grid = opts.radius_policy.grid if ellipsoid is None else None
 
+    Only the shape of the draws is checked up front. The moment pass
+    reads the fit draws and the distance pass the estimation draws, and
+    a non-finite draw leaves a non-finite mean (which no ellipsoid
+    accepts) or distance. So the elementwise finiteness test runs only
+    when a distance is not finite or an error is on its way out, and a
+    non-finite draw wins over every other error, as if tested first.
+    """
+    a = draws = _as_matrix(draws, min_rows=2)
     e = ellipsoid
-    if e is None:
-        c = 1.0 if grid else resolve_radius(opts.radius_policy, a.shape[1])
-        fit_part = a
-        if opts.split:  # fit on the first T // 2 draws
-            t_fit = a.shape[0] // 2
-            if t_fit < 2:
-                raise InvalidInput(f"splitting T={a.shape[0]} draws in half "
-                                   "leaves fewer than 2 on one side")
-            fit_part, a, lp = a[:t_fit], a[t_fit:], lp[t_fit:]
-        e = _fit(fit_part, c)
-    maha = _mahalanobis_sq(a, e)
+    try:
+        lp = as_log_density_vector(log_post, a.shape[0])
+        grid = opts.radius_policy.grid if e is None else None
+        if e is None:
+            c = 1.0 if grid else resolve_radius(opts.radius_policy, a.shape[1])
+            fit_part = a
+            if opts.split:  # fit on the first T // 2 draws
+                t_fit = a.shape[0] // 2
+                if t_fit < 2:
+                    raise InvalidInput(f"splitting T={a.shape[0]} draws in half "
+                                       "leaves fewer than 2 on one side")
+                fit_part, a, lp = a[:t_fit], a[t_fit:], lp[t_fit:]
+        # a non-finite draw, or a finite one whose products overflow, would
+        # warn here on its way to a non-finite result
+        with np.errstate(invalid="ignore", over="ignore"):
+            if e is None:
+                e = _fit(fit_part, c)
+            maha = _mahalanobis_sq(a, e)
+    except ThamesError:
+        _require_finite(draws)
+        raise
+    if not np.isfinite(maha).all():
+        _require_finite(draws)
     log_terms = -lp  # log(1/(L pi)) per estimation draw
     if grid:
         e = _sweep(maha, log_terms, e, grid, opts)

@@ -8,7 +8,12 @@ needs only numpy and the standard library.
 
 The moment fit and the distances each take one pass over the draws,
 _BLOCK_ROWS rows at a time, so beyond its input neither makes more than
-a length-T vector and one block's worth of temporaries.
+a length-T vector and one block's worth of temporaries. Neither tests
+the draws for finiteness: a non-finite draw makes the mean or the
+distances non-finite, so the estimator checks shape alone up front and
+runs the elementwise test (_require_finite) only when a pass's result is
+not finite or an error is on its way out. The public functions here
+check finiteness themselves.
 """
 
 import math
@@ -23,10 +28,13 @@ SYMMETRY_RTOL = 1e-10
 # temporaries stay a few MB whatever T is; 2048 rows of d = 100 fit in
 # cache, and 8192 ran slower
 _BLOCK_ROWS = 2048
+# rows of the centre pattern _centered_blocks subtracts from a block seen
+# as wide rows; 64 rows of d = 100 are 51 KB
+_TILE_ROWS = 64
 
 
-def as_draw_matrix(draws, min_rows=1):
-    """Validate and return a T x d float matrix of posterior draws."""
+def _as_matrix(draws, min_rows=1):
+    """draws as a T x d float matrix, its shape checked but not its values."""
     a = np.asarray(draws, dtype=float)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
@@ -35,12 +43,25 @@ def as_draw_matrix(draws, min_rows=1):
     t, d = a.shape
     if t < min_rows or d < 1:
         raise InvalidInput(f"draw matrix of shape {a.shape} is too small")
-    # a sum is finite only if every entry is; the elementwise test, which
-    # makes a T x d temporary, runs only for a bad entry or an overflow
+    return a
+
+
+def _require_finite(a):
+    """Raise InvalidInput unless every entry of a is finite: the elementwise
+    test, which makes a T x d temporary."""
+    if not np.isfinite(a).all():
+        raise InvalidInput("draw matrix contains non-finite entries")
+
+
+def as_draw_matrix(draws, min_rows=1):
+    """Validate and return a T x d float matrix of posterior draws."""
+    a = _as_matrix(draws, min_rows)
+    # a sum is finite only if every entry is; the elementwise test runs
+    # only for a bad entry or an overflow
     with np.errstate(over="ignore", invalid="ignore"):
         total = a.sum()
-    if not np.isfinite(total) and not np.isfinite(a).all():
-        raise InvalidInput("draw matrix contains non-finite entries")
+    if not np.isfinite(total):
+        _require_finite(a)
     return a
 
 
@@ -49,7 +70,10 @@ def as_log_density_vector(values, n_rows):
 
     -inf encodes a zero-density draw; +inf and NaN are rejected.
     """
-    v = np.asarray(values, dtype=float).reshape(-1)
+    try:
+        v = np.asarray(values, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise InvalidInput("log-density vector is not numeric") from None
     if v.shape[0] != n_rows:
         raise InvalidInput(
             f"log-density vector has length {v.shape[0]}, expected {n_rows}"
@@ -61,18 +85,33 @@ def as_log_density_vector(values, n_rows):
 
 def _centered_blocks(a, center):
     """(rows, a[rows] - center) for each block of _BLOCK_ROWS rows of a,
-    the difference written into one buffer that every block reuses."""
-    buf = np.empty((min(a.shape[0], _BLOCK_ROWS), a.shape[1]))
-    for start in range(0, a.shape[0], _BLOCK_ROWS):
+    the difference written into one buffer that every block reuses.
+
+    Broadcast against a short centre, the subtraction runs an inner loop
+    of d elements, slow for small d. When a is C-contiguous and d > 1,
+    the leading multiple of _TILE_ROWS rows of a block is seen as rows of
+    _TILE_ROWS * d entries and the centre tiled _TILE_ROWS times is
+    subtracted from those; each entry's difference is the same.
+    """
+    t, d = a.shape
+    buf = np.empty((min(t, _BLOCK_ROWS), d))
+    wide = d > 1 and a.flags.c_contiguous
+    pattern = np.tile(center, _TILE_ROWS) if wide else None
+    for start in range(0, t, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         block = a[rows]
-        yield rows, np.subtract(block, center, out=buf[:block.shape[0]])
+        out = buf[:block.shape[0]]
+        n = block.shape[0] // _TILE_ROWS * _TILE_ROWS if wide else 0
+        if n:
+            np.subtract(block[:n].reshape(-1, _TILE_ROWS * d), pattern,
+                        out=out[:n].reshape(-1, _TILE_ROWS * d))
+        np.subtract(block[n:], center, out=out[n:])
+        yield rows, out
 
 
 def _moments(a):
-    """(mean, unbiased covariance) of a matrix as_draw_matrix has
-    validated, the covariance with divisor T-1 and symmetric by
-    construction.
+    """(mean, unbiased covariance) of a T x d float matrix, the covariance
+    with divisor T-1 and symmetric by construction.
 
     The mean is one sequential pass over the rows, and the covariance
     sums (x - mean)^T (x - mean) block by block (a SYRK product), so no
@@ -150,7 +189,7 @@ class Ellipsoid:
 
 
 def _fit(a, radius):
-    """Ellipsoid.fit for a matrix as_draw_matrix has validated."""
+    """Ellipsoid.fit for a T x d float matrix, its values unchecked."""
     return Ellipsoid.from_moments(*_moments(a), radius)
 
 
@@ -169,7 +208,7 @@ def mahalanobis_sq(theta, e: Ellipsoid):
 
 
 def _mahalanobis_sq(a, e: Ellipsoid):
-    """mahalanobis_sq for a matrix as_draw_matrix has validated."""
+    """mahalanobis_sq for a T x d float matrix, its values unchecked."""
     if a.shape[1] != e.dim:
         raise InvalidInput("theta dimension does not match ellipsoid")
     # row i of z is Lo^-1 (a[i] - center), computed as (a - center) @ Lo^-T

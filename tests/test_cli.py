@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,11 +130,13 @@ class TestLoadTable:
          "cannot parse 'zzz'"),
         ("theta_1,theta_01,log_unnorm_posterior\n1,2,-1\n", 1,
          "columns 'theta_1' and 'theta_01' are both theta 1"),
+        ("theta_1,theta_\u0662,log_unnorm_posterior\n1,2,-1\n", 1,
+         "column 'theta_\u0662': theta index is not ASCII digits"),
     ], ids=["one line per record", "after a quoted newline",
-            "one theta index twice"])
+            "one theta index twice", "non-ASCII theta index"])
     def test_parse_error_names_line(self, tmp_path, text, line, message):
         path = str(tmp_path / "draws.csv")
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         with pytest.raises(ParseError) as exc_info:
             load_table(path)
@@ -235,6 +238,10 @@ INGEST_CASES = [
      "theta_1,theta_1,log_unnorm_posterior\nabc,0.5,-1\n7,0.25,-2\n", True),
     ("two names for one theta index",
      "theta_1,theta_01,log_unnorm_posterior\n1,2,-1\n3,4,-2\n", False),
+    ("Arabic-Indic digits in theta indices",
+     "theta_\u0661,theta_\u0662,log_unnorm_posterior\n1,2,-1\n3,4,-2\n", False),
+    ("theta_x is an unused column",
+     "theta_1,theta_x,log_unnorm_posterior\n1,a,-1\n3,b,-2\n", True),
     ("quotes, padding, CRLF, blank lines",
      'theta_1,"log_unnorm_posterior"\r\n"1.5", -2.0 \r\n\r\n 0.25 ,"-3"\r\n'
      "\r\n4,5\r\n", True),
@@ -290,6 +297,9 @@ JSONL_INGEST_CASES = [
      '{"theta_1": "abc", "theta_1": 0.5, "log_unnorm_posterior": -1}\n', True),
     ("two keys for one theta index",
      '{"theta_1": 1, "theta_01": 2, "log_unnorm_posterior": -1}\n', False),
+    ("Arabic-Indic digits in theta indices",
+     '{"theta_\u0661": 1, "theta_\u0662": 2, "log_unnorm_posterior": -1}\n',
+     False),
     ("blank, whitespace-only and CRLF lines",
      J2 + "\n   \n\t\r\n" + J2.replace("\n", "\r\n"), True),
     ("-Infinity log_prior",
@@ -348,7 +358,7 @@ class TestVectorizedIngest:
 
     @staticmethod
     def check(capsys, path, fast, text, vectorized):
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         assert (fast(path) is not None) == vectorized
         try:
@@ -374,6 +384,33 @@ class TestVectorizedIngest:
         assert fast is not None
         for a, b in zip(fast, _load_table_rows(path)):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("suffix, t, bound", [(".csv", 20_000, 1.4),
+                                                  (".jsonl", 10_000, 4.0)])
+    def test_peak_memory_in_draws(self, tmp_path, suffix, t, bound):
+        # the theta columns are compacted inside the parsed table, not
+        # copied out of it, and JSONL holds at most one block of records
+        # as Python numbers
+        d = 50
+        x = np.random.default_rng(0).standard_normal((t, d))
+        names = [f"theta_{i}" for i in range(1, d + 1)] + ["log_unnorm_posterior"]
+        table = np.column_stack([x, -0.5 * np.einsum("ij,ij->i", x, x)])
+        path = str(tmp_path / ("draws" + suffix))
+        with open(path, "w") as fh:
+            if suffix == ".csv":
+                np.savetxt(fh, table, delimiter=",", header=",".join(names),
+                           comments="", fmt="%.17g")
+            else:
+                fh.writelines(json.dumps(dict(zip(names, row))) + "\n"
+                              for row in table.tolist())
+        tracemalloc.start()
+        try:
+            draws, _ = load_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(draws, x)
+        assert peak <= bound * x.nbytes
 
     def test_generated_jsonl_is_vectorized_and_identical(self, tmp_path):
         path = str(tmp_path / "draws.jsonl")

@@ -356,18 +356,25 @@ class TestRadiusTuning:
             assert calls == [shape]
 
     def test_draws_validated_once_per_call(self, monkeypatch):
+        # one shape check; the elementwise finiteness test runs only for a
+        # non-finite draw, and then once
         import thames.estimator as est
         import thames.geometry as geo
 
-        calls = []
-        check = geo.as_draw_matrix
+        shapes, finite_tests = [], []
+        shape_check, finite_check = geo._as_matrix, geo._require_finite
 
-        def counting(draws, min_rows=1):
-            calls.append(np.shape(draws))
-            return check(draws, min_rows)
+        def counting_shape(draws, min_rows=1):
+            shapes.append(np.shape(draws))
+            return shape_check(draws, min_rows)
 
-        monkeypatch.setattr(geo, "as_draw_matrix", counting)
-        monkeypatch.setattr(est, "as_draw_matrix", counting)
+        def counting_finite(a):
+            finite_tests.append(a.shape)
+            return finite_check(a)
+
+        for module in (geo, est):
+            monkeypatch.setattr(module, "_as_matrix", counting_shape)
+            monkeypatch.setattr(module, "_require_finite", counting_finite)
         model, draws, log_post = toy_problem(t=1000)
         m_n, s_n = model.posterior_params()
         oracle = Ellipsoid(m_n, math.sqrt(s_n) * np.eye(2), math.sqrt(3.0))
@@ -375,9 +382,18 @@ class TestRadiusTuning:
         for opts, ellipsoid in ((ThamesOptions(), None),
                                 (ThamesOptions(radius_policy=grid), None),
                                 (ThamesOptions(split=False), oracle)):
-            calls.clear()
+            shapes.clear()
             thames(draws, log_post, opts, ellipsoid=ellipsoid)
-            assert calls == [(1000, 2)]
+            assert (shapes, finite_tests) == ([(1000, 2)], [])
+            for row in (300, 700):  # in the fit half, then the estimation half
+                bad = draws.copy()
+                bad[row, 1] = np.nan
+                shapes.clear()
+                finite_tests.clear()
+                with pytest.raises(InvalidInput, match="non-finite"):
+                    thames(bad, log_post, opts, ellipsoid=ellipsoid)
+                assert (shapes, finite_tests) == ([(1000, 2)], [(1000, 2)])
+            finite_tests.clear()
 
     def test_explicit_ellipsoid_dimension_is_checked(self):
         _, draws, log_post = toy_problem(t=200)
@@ -442,3 +458,93 @@ class TestEmpiricalScv:
                 SupportPredicate.positive_orthant([0, 1, 2]), n_samples=n)
             opts = ThamesOptions(correction=cfg)
             assert empirical_scv(draws, log_post, 2.0, opts) == plain
+
+
+def _fail_if_called(points):
+    raise AssertionError("support callback called")
+
+
+# each half of 2 * (2048 + 100) draws ends in a partial 2048-row block
+T_BLOCKS = 2 * (2048 + 100)
+# rows for the non-finite entry: the first, the last of the 64-row part of
+# the fit half's partial block, the last and first of the two halves, the
+# same row of the estimation half's partial block, and the last
+NONFINITE_ROWS = (0, 2048 + 63, T_BLOCKS // 2 - 1, T_BLOCKS // 2,
+                  T_BLOCKS // 2 + 2048 + 63, T_BLOCKS - 1)
+NONFINITE_OPTIONS = {
+    "default": ThamesOptions(),
+    "no split": ThamesOptions(split=False),
+    "grid": ThamesOptions(radius_policy=RadiusPolicy.empirical_grid((1.0, 2.0))),
+    "explicit ellipsoid": ThamesOptions(split=False),
+    "ar1": ThamesOptions(serial_correction="ar1"),
+    "box": ThamesOptions(correction=ConstrainedCorrectionConfig(
+        SupportPredicate.box([-50.0] * 3, [50.0] * 3), n_samples=1000)),
+    "callback": ThamesOptions(correction=ConstrainedCorrectionConfig(
+        SupportPredicate.callback(_fail_if_called))),
+}
+
+
+def _faulty(fault):
+    """(draws, log_post, ellipsoid) of a d = 3 problem with one more fault
+    than the non-finite draw to come, or none."""
+    _, draws, log_post = toy_problem(d=3, t=T_BLOCKS)
+    ellipsoid = None
+    if fault == "log_post one short":
+        log_post = log_post[:-1]
+    elif fault == "NaN in log_post":
+        log_post[1] = np.nan
+    elif fault == "log_post of strings":
+        log_post = ["x"] * len(log_post)
+    elif fault == "T = 3":
+        draws, log_post = draws[:3], log_post[:3]
+    elif fault == "wrong-dimension ellipsoid":
+        ellipsoid = Ellipsoid(np.zeros(4), np.eye(4), 2.0)
+    return draws, log_post, ellipsoid
+
+
+def _assert_nonfinite_wins(call, draws):
+    """call(bad) raises the non-finite error for each bad value at each row."""
+    for value in (np.nan, np.inf, -np.inf):
+        for row in NONFINITE_ROWS:
+            bad = draws.copy()
+            row = min(row, bad.shape[0] - 1)
+            bad[row, row % bad.shape[1]] = value
+            with pytest.raises(InvalidInput,
+                               match="^draw matrix contains non-finite entries$"):
+                call(bad)
+
+
+class TestNonFiniteDraws:
+    """A non-finite draw raises the same error wherever it sits, whatever
+    the options and whatever else is wrong with the call, and a support
+    callback never sees it. A RuntimeWarning on the way fails the test."""
+
+    @pytest.mark.parametrize("fault", ["none", "log_post one short",
+                                       "NaN in log_post", "log_post of strings",
+                                       "T = 3", "wrong-dimension ellipsoid"])
+    @pytest.mark.parametrize("option", list(NONFINITE_OPTIONS))
+    def test_thames(self, option, fault):
+        draws, log_post, ellipsoid = _faulty(fault)
+        if option == "explicit ellipsoid" and ellipsoid is None:
+            ellipsoid = Ellipsoid(np.zeros(3), np.eye(3), 2.0)
+        opts = NONFINITE_OPTIONS[option]
+        _assert_nonfinite_wins(
+            lambda bad: thames(bad, log_post, opts, ellipsoid=ellipsoid), draws)
+
+    @pytest.mark.parametrize("fault", ["none", "log_post one short",
+                                       "NaN in log_post", "log_post of strings",
+                                       "T = 3"])
+    @pytest.mark.parametrize("option", ["default", "no split", "box", "callback"])
+    def test_empirical_scv(self, option, fault):
+        draws, log_post, _ = _faulty(fault)
+        opts = NONFINITE_OPTIONS[option]
+        _assert_nonfinite_wins(
+            lambda bad: empirical_scv(bad, log_post, 2.0, opts), draws)
+
+    def test_finite_draws_whose_products_overflow(self):
+        # the covariance of rows of +-1e200 overflows; the draws are finite,
+        # so the error is the ellipsoid's
+        signs = np.sign(np.random.default_rng(0).standard_normal((T_BLOCKS, 3)))
+        with pytest.raises(InvalidInput,
+                           match="^ellipsoid center and scale must be finite$"):
+            thames(1e200 * signs, np.zeros(T_BLOCKS))

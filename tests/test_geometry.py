@@ -14,6 +14,7 @@ from thames.errors import InvalidInput, NotPositiveDefinite
 from thames.geometry import (
     _BLOCK_ROWS,
     Ellipsoid,
+    _centered_blocks,
     _moments,
     as_draw_matrix,
     as_log_density_vector,
@@ -65,6 +66,8 @@ class TestValidators:
             as_log_density_vector([0.0, np.nan], 2)
         with pytest.raises(InvalidInput):
             as_log_density_vector([0.0], 2)
+        with pytest.raises(InvalidInput, match="not numeric"):
+            as_log_density_vector(["a", "b"], 2)
 
 
 class TestMoments:
@@ -101,6 +104,22 @@ class TestMoments:
         np.testing.assert_allclose(e.center, mean, rtol=1e-13, atol=0)
         np.testing.assert_allclose(e.scale, np.linalg.cholesky(cov), rtol=1e-13,
                                    atol=1e-13 * np.abs(e.scale).max())
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided columns"])
+    @pytest.mark.parametrize("d", [1, 2, 100])
+    @pytest.mark.parametrize("t", [63, 2 * _BLOCK_ROWS + 65])
+    def test_centered_blocks_are_the_exact_difference(self, t, d, layout):
+        # blocks seen as wide rows against a tiled centre, where a is
+        # C-contiguous and d > 1, give every entry's difference exactly
+        rng = np.random.default_rng(t + d)
+        if layout == "strided columns":
+            a = rng.standard_normal((t, 2 * d))[:, ::2]
+        else:
+            a = np.asarray(rng.standard_normal((t, d)), order=layout)
+        center = rng.standard_normal(d)
+        blocks = [(rows, z.copy()) for rows, z in _centered_blocks(a, center)]
+        assert [rows.start for rows, _ in blocks] == list(range(0, t, _BLOCK_ROWS))
+        assert np.array_equal(np.concatenate([z for _, z in blocks]), a - center)
 
 
 class TestCholesky:
