@@ -44,13 +44,9 @@ import warnings
 import numpy as np
 
 from . import experiments
-from .correction import (
-    ConstrainedCorrectionConfig,
-    SupportPredicate,
-    _check_sample_count,
-)
-from .errors import InvalidInput, NumericalError, ParseError
-from .estimator import ThamesOptions, _check_level, thames
+from .correction import ConstrainedCorrectionConfig, SupportPredicate
+from .errors import InvalidInput, NumericalError, ParseError, _check_count, _check_level
+from .estimator import ThamesOptions, thames
 from .radius import (
     RadiusPolicy,
     chi2_cdf,
@@ -67,13 +63,9 @@ from .seeds import _check_seed
 
 
 def format_float(x):
-    """17 significant digits: enough to round-trip any double exactly."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    """17 significant digits: enough to round-trip any double exactly.
+    A NaN of either sign prints as nan, the infinities as inf and -inf."""
+    return format(float(x), ".17g")
 
 
 def _json_value(v):
@@ -454,13 +446,14 @@ def parse_support(spec):
         "box:lo:hi,lo:hi,..., or simplex")
 
 
-def _checked(convert, check):
+def _checked(convert, check, *args):
     """An argparse type that converts a flag value, then runs the library's
-    check on it, so a rejected value is reported under the flag's name."""
+    check on it and args, so a rejected value is reported under the flag's
+    name."""
     def parse(text):
         value = convert(text)
         try:
-            check(value)
+            check(value, *args)
         except InvalidInput as exc:
             raise argparse.ArgumentTypeError(str(exc))
         return value
@@ -616,7 +609,7 @@ def build_parser():
                             "box:lo:hi,lo:hi,... | simplex; indices count "
                             "from 0, so theta_1..theta_10 are "
                             "positive:0,...,9")
-    p_cor.add_argument("--n", type=_checked(int, _check_sample_count), default=100)
+    p_cor.add_argument("--n", type=_checked(int, _check_count, "sample"), default=100)
     p_cor.add_argument("--seed", type=_checked(int, _check_seed), default=0,
                        help="volume-ratio sample seed, in [0, 2**64)")
     p_cor.set_defaults(func=cmd_estimate)
@@ -634,7 +627,7 @@ def build_parser():
     p_rep.add_argument("--out", required=True)
     p_rep.add_argument("--seed", type=_checked(int, _check_seed), default=0,
                        help="experiment seed, in [0, 2**64)")
-    p_rep.add_argument("--reps", type=_checked(int, experiments._check_reps),
+    p_rep.add_argument("--reps", type=_checked(int, _check_count, "replication"),
                        default=50,
                        help="replications per setting; gaussian-d and dirmult only")
     p_rep.set_defaults(func=cmd_replicate)

@@ -1,8 +1,12 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules, and the argument checks
+that more than one module runs.
 
 Exit-code mapping used by the CLI: usage errors are 2, parse errors 3,
 and every NumericalError subclass maps to 4.
 """
+
+import numbers
+import operator
 
 
 class ThamesError(Exception):
@@ -55,3 +59,20 @@ class DegenerateTerm(NumericalError):
 
 class ZeroSupportOverlap(NumericalError):
     """No uniform point in the ellipsoid fell in the support: R_hat is zero."""
+
+
+def _check_count(value, what):
+    """Raise InvalidInput unless value is an integer count, >= 1; what
+    names the count, as in "sample" or "replication"."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{what} count {value!r:.40} is not an integer") from None
+    if value < 1:
+        raise InvalidInput(f"{what} count must be >= 1, got {value}")
+
+
+def _check_level(level):
+    """Raise InvalidInput unless level is a real number in (0, 1)."""
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+        raise InvalidInput(f"confidence level must be in (0, 1), got {level!r:.40}")

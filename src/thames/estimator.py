@@ -14,18 +14,18 @@ space; the raw-scale sum overflows for |log Lpi| of order 10^3.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
-from statistics import NormalDist
 
 import numpy as np
 
+from .correction import ConstrainedCorrectionConfig, estimate_volume_ratio
 from .errors import (
     DegenerateTerm,
     EmptyTruncationSet,
     InsufficientData,
     InvalidInput,
     ThamesError,
+    _check_level,
 )
 from .geometry import (
     Ellipsoid,
@@ -33,6 +33,7 @@ from .geometry import (
     _fit,
     _mahalanobis_sq,
     _require_finite,
+    _two_sided_z,
     as_log_density_vector,
     log_volume,
     logsumexp,
@@ -40,23 +41,12 @@ from .geometry import (
 from .radius import RadiusPolicy, resolve_radius
 
 
-def _check_level(level):
-    """Raise InvalidInput unless level is a real number in (0, 1)."""
-    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
-        raise InvalidInput(f"confidence level must be in (0, 1), got {level!r:.40}")
-
-
-def _two_sided_z(level):
-    """The standard normal z with P(|Z| <= z) = level."""
-    return NormalDist().inv_cdf(0.5 * (1.0 + level))
-
-
 @dataclass(frozen=True)
 class ThamesOptions:
     """Estimator configuration.
 
     serial_correction is "none" or "ar1". correction, when set, is a
-    ConstrainedCorrectionConfig from the correction module.
+    ConstrainedCorrectionConfig.
     """
 
     radius_policy: RadiusPolicy = RadiusPolicy.sqrt_d_plus_1()
@@ -66,8 +56,6 @@ class ThamesOptions:
     correction: object = None
 
     def __post_init__(self):
-        from .correction import ConstrainedCorrectionConfig
-
         _check_level(self.ci_level)
         if not isinstance(self.split, bool):
             raise InvalidInput(f"split {self.split!r:.40} is not a bool")
@@ -274,8 +262,6 @@ def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = N
     log_terms, inside, e, n_out = _truncate(draws, log_post, opts, ellipsoid)
     r_hat = r_ci = None
     if opts.correction is not None:
-        from .correction import estimate_volume_ratio
-
         cfg = opts.correction
         r_hat, r_ci = estimate_volume_ratio(e, cfg.support, cfg.n_samples,
                                             cfg.seed, opts.ci_level)

@@ -18,17 +18,28 @@ experiment names, do not load it.
 
 import functools
 import math
-import operator
 
 import numpy as np
 
 from . import estimator
 from .correction import ConstrainedCorrectionConfig
-from .errors import InvalidInput, NumericalError
+from .errors import InvalidInput, NumericalError, _check_count
 from .geometry import Ellipsoid
 from .seeds import _check_seed, spawn_seed
 
+# each experiment's fixed design: T is the posterior draws per run
 GAUSSIAN_T_GRID = tuple([5] + list(range(1005, 9006, 1000)))
+GAUSSIAN_D_GRID = (1, 5, 10, 25, 50)
+GAUSSIAN_D_T = 10000
+DIRMULT_D_GRID = (1, 20, 50)
+DIRMULT_N = 400  # observations per dataset
+DIRMULT_L = 150  # trials per observation
+DIRMULT_T = 10000
+DIRMULT_A0 = 1.0  # symmetric Dirichlet prior concentration
+PROSTATE_T = 10000
+PROSTATE_SIGMA2 = 1.0  # known noise variance
+TOY_T = 2000
+TOY_STRIDE = 50  # draws between running estimates
 
 
 def gaussian_t(seed, reps):
@@ -55,10 +66,7 @@ def gaussian_t(seed, reps):
     return [functools.partial(task, i, t) for i, t in enumerate(GAUSSIAN_T_GRID)]
 
 
-GAUSSIAN_D_GRID = (1, 5, 10, 25, 50)
-
-
-def gaussian_d(seed, reps, t=10000):
+def gaussian_d(seed, reps):
     """Split / no-split / oracle-moment comparison across dimensions."""
     from . import models
 
@@ -71,7 +79,7 @@ def gaussian_d(seed, reps, t=10000):
         model = models.GaussianMeanModel(
             s0=1.0, data=models.gaussian_dataset(d, seed=data_seed))
         exact = model.exact_log_marginal()
-        draws = model.posterior_sample(t, draw_seed)
+        draws = model.posterior_sample(GAUSSIAN_D_T, draw_seed)
         log_post = model.log_post(draws)
         m_n, s_n = model.posterior_params()
         oracle = Ellipsoid(m_n, math.sqrt(s_n) * np.eye(d), math.sqrt(d + 1.0))
@@ -87,10 +95,7 @@ def gaussian_d(seed, reps, t=10000):
             for index, (d, rep) in enumerate(settings)]
 
 
-DIRMULT_D_GRID = (1, 20, 50)
-
-
-def dirmult(seed, reps, n=400, l=150, t=10000, a0=1.0):
+def dirmult(seed, reps):
     """Count-model runs: fixed true frequencies versus frequencies drawn
     from the prior, the latter with the simplex volume-ratio adjustment."""
     from . import models
@@ -99,9 +104,10 @@ def dirmult(seed, reps, n=400, l=150, t=10000, a0=1.0):
         data_seed = spawn_seed(seed, 3 * index + 1)
         draw_seed = spawn_seed(seed, 3 * index + 2)
         model = models.DirMultModel(
-            a0=a0, l=l, data=models.dirmult_dataset(mu, n, l, data_seed))
+            a0=DIRMULT_A0, l=DIRMULT_L,
+            data=models.dirmult_dataset(mu, DIRMULT_N, DIRMULT_L, data_seed))
         exact = model.exact_log_marginal()
-        draws = model.posterior_sample(t, draw_seed)
+        draws = model.posterior_sample(DIRMULT_T, draw_seed)
         log_post = model.log_post(draws)
         plain = estimator.thames(draws, log_post, estimator.ThamesOptions())
         corr_cfg = ConstrainedCorrectionConfig(
@@ -118,37 +124,37 @@ def dirmult(seed, reps, n=400, l=150, t=10000, a0=1.0):
             # one true frequency vector per (regime, d), shared by all
             # datasets: uniform when fixed, a single prior draw when stochastic
             mu = (np.full(d + 1, 1.0 / (d + 1)) if regime == "fixed" else
-                  models.dirmult_mu(d + 1, a0, spawn_seed(seed, 100_000 + d)))
+                  models.dirmult_mu(d + 1, DIRMULT_A0, spawn_seed(seed, 100_000 + d)))
             for rep in range(reps):
                 tasks.append(functools.partial(task, len(tasks), regime, d, rep, mu))
     return tasks
 
 
-def prostate(seed, reps, t=10000, sigma2=1.0):
+def prostate(seed, reps):
     """Nested-regression comparison on the bundled prostate table."""
     from . import models
 
     opts = estimator.ThamesOptions(split=False)
 
     def task(i, k, model):
-        draws = model.posterior_sample(t, spawn_seed(seed, i))
+        draws = model.posterior_sample(PROSTATE_T, spawn_seed(seed, i))
         res = estimator.thames(draws, model.log_post(draws), opts)
         return [(f"M{k}", k, model.exact_log_marginal(), res.log_z,
                  res.ci_log_z[0], res.ci_log_z[1])]
 
-    nested = sorted(models.prostate_models(sigma2=sigma2, alpha=0.5).items())
+    nested = sorted(models.prostate_models(sigma2=PROSTATE_SIGMA2, alpha=0.5).items())
     return [functools.partial(task, i, k, model)
             for i, (k, model) in enumerate(nested)]
 
 
-def toy(seed, reps, t=2000, stride=50):
+def toy(seed, reps):
     """Running-estimate traces on the two-dimensional all-zeros dataset,
     contrasting the truncated estimator with the plain harmonic mean."""
     from . import models
 
     model = models.GaussianMeanModel(s0=1.0, data=np.zeros((20, 2)))
     exact = model.exact_log_marginal()
-    draws = model.posterior_sample(t, spawn_seed(seed, 0))
+    draws = model.posterior_sample(TOY_T, spawn_seed(seed, 0))
     log_post = model.log_post(draws)
     log_lik = model.log_likelihood(draws)
     opts = estimator.ThamesOptions(split=False)  # radius sqrt(d + 1), d = 2
@@ -158,7 +164,8 @@ def toy(seed, reps, t=2000, stride=50):
         return [(upto, res.log_z, estimator.harmonic_mean_log_z(log_lik[:upto]),
                  exact)]
 
-    return [functools.partial(task, upto) for upto in range(stride, t + 1, stride)]
+    return [functools.partial(task, upto)
+            for upto in range(TOY_STRIDE, TOY_T + 1, TOY_STRIDE)]
 
 
 EXPERIMENTS = {
@@ -178,21 +185,11 @@ EXPERIMENTS = {
 }
 
 
-def _check_reps(reps):
-    """Raise InvalidInput unless reps is an integer replication count, >= 1."""
-    try:
-        reps = operator.index(reps)
-    except TypeError:
-        raise InvalidInput(f"replication count {reps!r:.40} is not an integer") from None
-    if reps < 1:
-        raise InvalidInput(f"replication count must be >= 1, got {reps}")
-
-
 def run(name, seed, reps):
     """The rows of experiment name, in task order."""
     if name not in EXPERIMENTS:
         raise InvalidInput(f"unknown experiment {name!r:.40}; expected one of "
                            + ", ".join(sorted(EXPERIMENTS)))
     _check_seed(seed)
-    _check_reps(reps)
+    _check_count(reps, "replication")
     return [row for task in EXPERIMENTS[name][0](seed, reps) for row in task()]

@@ -18,6 +18,7 @@ check finiteness themselves.
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -242,6 +243,11 @@ def logsumexp(a):
             return float(out)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return float(np.log(np.sum(np.exp(a))))
+
+
+def _two_sided_z(level):
+    """The standard normal z with P(|Z| <= z) = level."""
+    return NormalDist().inv_cdf(0.5 * (1.0 + level))
 
 
 def log_volume(e: Ellipsoid):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thames import experiments, radius
+from thames import estimator, experiments, radius
 from thames.cli import (
     _load_csv_columns,
     _load_jsonl_columns,
@@ -29,7 +29,7 @@ from thames.cli import (
     parse_support,
 )
 from thames.correction import ConstrainedCorrectionConfig, SupportPredicate
-from thames.errors import InvalidInput, ParseError
+from thames.errors import EmptyTruncationSet, InvalidInput, ParseError
 from thames.estimator import ThamesOptions, thames
 from thames.experiments import EXPERIMENTS
 from thames.models import (
@@ -85,6 +85,12 @@ class TestFloatFormatting:
         assert format_float(float("inf")) == "inf"
         assert format_float(float("-inf")) == "-inf"
         assert format_float(float("nan")) == "nan"
+
+    def test_nan_with_its_sign_bit_set(self):
+        negative_nan = -float("nan")
+        assert math.copysign(1.0, negative_nan) == -1.0
+        assert format_float(negative_nan) == "nan"
+        assert format_float(np.float64(negative_nan)) == "nan"
 
     def test_csv_writer_value_types(self):
         # scv and replicate write every row through this one writer
@@ -944,6 +950,24 @@ class TestReplicateCommand:
         assert [int(r["T"]) for r in rows] == [5] + list(range(1005, 9006, 1000))
         covered = sum(r["covered"] == "true" for r in rows)
         assert covered >= 9
+
+    def test_gaussian_t_records_a_failed_run(self, monkeypatch):
+        # a NumericalError ends that run only: its row keeps T and the exact
+        # value, NaN for the rest and "false" for coverage
+        clean = experiments.run("gaussian-T", 0, 1)
+        real = estimator.thames
+
+        def empty_at_t5(draws, *args, **kwargs):
+            if len(draws) == 5:
+                raise EmptyTruncationSet("no draw inside the truncation ellipsoid")
+            return real(draws, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "thames", empty_at_t5)
+        rows = experiments.run("gaussian-T", 0, 1)
+        t, log_z, exact, error, lower, upper, covered = rows[0]
+        assert (t, exact, covered) == (5, clean[1][2], "false")
+        assert all(math.isnan(v) for v in (log_z, error, lower, upper))
+        assert rows[1:] == clean[1:]
 
     def test_toy_round_trip_and_determinism(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -17,6 +17,7 @@ from thames.correction import (
     _BLOCK_ROWS,
     ConstrainedCorrectionConfig,
     SupportPredicate,
+    _cpu_count,
     _uniform_blocks,
     estimate_volume_ratio,
 )
@@ -345,6 +346,45 @@ class TestVolumeRatio:
         assert callers == {threading.get_ident()}
         assert len(running) == 4 and max(running) > baseline  # a pool ran
         assert threading.active_count() == baseline
+
+    def test_blocks_are_made_on_the_calling_thread(self, monkeypatch):
+        # tracemalloc cannot see which malloc arena serves a block: arrays
+        # made on the filler thread come from its own arena and raise the
+        # resident peak. So every block's arrays and generator must be made
+        # on the calling thread, while the filler only fills them.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        baseline = threading.active_count()
+        makers, running = [], []
+
+        def recorded(make):
+            def call(*args, **kwargs):
+                makers.append(threading.get_ident())
+                return make(*args, **kwargs)
+            return call
+
+        def positive(pts):
+            running.append(threading.active_count())
+            return pts[:, 0] > 0.0
+
+        monkeypatch.setattr(np, "empty", recorded(np.empty))
+        monkeypatch.setattr(np.random, "Generator", recorded(np.random.Generator))
+        e = Ellipsoid(np.zeros(2), np.eye(2), 1.0)
+        estimate_volume_ratio(e, SupportPredicate.callback(positive),
+                              3 * _BLOCK_ROWS, seed=1)
+        assert len(running) == 3 and max(running) > baseline  # a filler ran
+        # at least the seed's generator, then two arrays and a generator per
+        # block
+        assert len(makers) >= 1 + 3 * 3
+        assert set(makers) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("cpus, expected", [(6, 6), (None, 1)])
+    def test_cpu_count_without_an_affinity_mask(self, cpus, expected,
+                                                monkeypatch):
+        # macOS and Windows have no sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert _cpu_count() == expected
 
     def test_callback_error_stops_the_pool(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),

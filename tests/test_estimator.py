@@ -20,7 +20,6 @@ from thames.errors import (
 from thames.estimator import (
     ThamesOptions,
     ThamesResult,
-    _two_sided_z,
     ar1_inflation,
     confidence_interval,
     empirical_scv,
@@ -28,7 +27,7 @@ from thames.estimator import (
     thames,
     variance_recip_iid,
 )
-from thames.geometry import Ellipsoid, log_volume, mahalanobis_sq
+from thames.geometry import Ellipsoid, _two_sided_z, log_volume, mahalanobis_sq
 from thames.models import GaussianMeanModel, gaussian_dataset
 from thames.radius import RadiusPolicy
 
@@ -157,6 +156,11 @@ class TestPointEstimate:
         with pytest.raises(InvalidInput):
             thames(draws, log_post[:-1])
 
+    def test_rejects_draws_of_three_dimensions(self):
+        with pytest.raises(InvalidInput,
+                           match="^draws must be 2-dimensional, got ndim=3$"):
+            thames(np.zeros((10, 2, 2)), np.zeros(10))
+
     def test_split_needs_enough_draws(self):
         with pytest.raises(InvalidInput):
             thames(np.array([[0.0], [1.0], [2.0]]), np.zeros(3),
@@ -204,6 +208,11 @@ class TestVariance:
         with pytest.raises(InsufficientData):
             variance_recip_iid(np.array([0.0]), 5, 0.0)
 
+    def test_rejects_fewer_draws_than_terms(self):
+        with pytest.raises(InvalidInput,
+                           match="^t_estimation smaller than the included count$"):
+            variance_recip_iid(np.zeros(3), 2, 0.0)
+
 
 class TestConfidenceInterval:
     def test_matches_hand_formula(self):
@@ -229,6 +238,11 @@ class TestConfidenceInterval:
     def test_rejects_bad_level(self):
         with pytest.raises(InvalidInput):
             confidence_interval(0.0, 0.1, 1.5)
+
+    def test_rejects_negative_se(self):
+        with pytest.raises(InvalidInput,
+                           match="^standard error must be nonnegative$"):
+            confidence_interval(0.0, -0.1, 0.95)
 
     @pytest.mark.parametrize("level", [0.1, 0.5, 0.6827, 0.8, 0.9, 0.95, 0.99,
                                        0.999, 0.999999])

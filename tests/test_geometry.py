@@ -134,6 +134,11 @@ class TestCholesky:
         with pytest.raises(InvalidInput):
             cholesky_factor(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(InvalidInput, match="^expected a square matrix"):
+            cholesky_factor(np.ones(shape))
+
     def test_not_positive_definite(self):
         sigma = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefinite):
@@ -182,6 +187,16 @@ class TestEllipsoid:
     def test_rejects_nonfinite_center_and_scale(self, center, scale):
         with pytest.raises(InvalidInput):
             Ellipsoid(np.array(center), np.array(scale), 1.0)
+
+    @pytest.mark.parametrize("scale, message", [
+        (np.eye(3), "^scale factor shape does not match center$"),
+        (np.ones(2), "^scale factor shape does not match center$"),
+        (np.diag([1.0, 0.0]), "^scale factor must have strictly positive diagonal$"),
+        (np.diag([1.0, -2.0]), "^scale factor must have strictly positive diagonal$"),
+    ])
+    def test_rejects_bad_scale(self, scale, message):
+        with pytest.raises(InvalidInput, match=message):
+            Ellipsoid(np.zeros(2), scale, 1.0)
 
     @pytest.mark.parametrize("fn", [
         lambda a: Ellipsoid.fit(a, 1.0),
