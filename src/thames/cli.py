@@ -48,6 +48,7 @@ from .correction import ConstrainedCorrectionConfig, SupportPredicate
 from .errors import InvalidInput, NumericalError, ParseError, _check_count, _check_level
 from .estimator import ThamesOptions, thames
 from .radius import (
+    MAX_RADIUS,
     RadiusPolicy,
     chi2_cdf,
     optimal_radius,
@@ -307,40 +308,51 @@ def _load_jsonl_columns(path):
     first bad line or returns the same arrays. json.loads gives a number
     as an int or a float, and numpy converts an int as float() does.
     The values are converted _BLOCK_ROWS records at a time, so that no
-    more are held as Python numbers.
+    more are held as Python numbers, into one table that grows in place
+    and last shrinks in place to the records.
     """
-    chunks, values, pick = [], [], None
+    table, values, pick, t = None, [], None, 0
     try:
         for _, record in _rows_from_jsonl(path):
             if pick is None:
                 theta_names, density_names = _classify_columns(list(record))
                 names = theta_names + density_names
                 pick = operator.itemgetter(*names)  # >= 2 names: a tuple
+                table = np.empty((_BLOCK_ROWS, len(names)))
             values.extend(pick(record))
             if len(values) == _BLOCK_ROWS * len(names):
-                chunks.append(_float_rows(values, len(names)))
-                values = []
+                t, values = _put_rows(table, t, values), []
+                if t is None:
+                    return None
     except (ParseError, KeyError):
         return None
     if pick is None:
         return None
-    chunks.append(_float_rows(values, len(names)))
-    if any(chunk is None for chunk in chunks):
+    t = _put_rows(table, t, values)
+    if t is None:
         return None
-    table = np.concatenate(chunks)
+    table.resize((t, len(names)), refcheck=False)
     d = len(theta_names)
     return _checked_columns(table, range(d), range(d, len(names)))
 
 
-def _float_rows(values, width):
-    """values as a float array of rows of width, or None unless each is an
-    int or a float within the float range."""
+def _put_rows(table, t, values):
+    """Write values, row after row, into table from row t, growing it in
+    place by at least half when they do not fit; return the rows then
+    filled, or None unless each value is an int or a float within the
+    float range."""
     if not set(map(type, values)) <= {int, float}:
         return None
     try:
-        return np.array(values, dtype=float).reshape(-1, width)
+        rows = np.array(values, dtype=float).reshape(-1, table.shape[1])
     except OverflowError:  # an integer beyond the float range
         return None
+    end = t + len(rows)
+    if end > len(table):
+        table.resize((max(end, len(table) * 3 // 2), table.shape[1]),
+                     refcheck=False)
+    table[t:end] = rows
+    return end
 
 
 def _checked_columns(table, theta_idx, density_idx):
@@ -528,6 +540,10 @@ def parse_scv_policy(spec):
 def cmd_scv(args, stdout):
     if args.dmax < 1:
         raise InvalidInput(f"--dmax must be >= 1, got {args.dmax}")
+    # c_d >= sqrt(d), so above this no row's optimal radius can be computed
+    if args.dmax > MAX_RADIUS ** 2:
+        raise InvalidInput(f"--dmax must be <= {MAX_RADIUS ** 2:.0f}, the square "
+                           f"of the radius-theory cap, got {args.dmax}")
     # the whole table is built first, so an error prints only its JSON line
     rows = []
     for d in range(1, args.dmax + 1):

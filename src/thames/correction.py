@@ -9,17 +9,13 @@ Sampling uses the counter-based Philox generator, so a 64-bit seed fully
 determines the draw; parallel replications should derive per-replication
 seeds with seeds.spawn_seed. The sample is drawn in blocks of
 _BLOCK_ROWS points, and block b draws from the seed's Philox stream
-jumped b times (by 2^128 draws each), so blocks are independent streams:
-one filler thread draws the next block's normals and uniforms while the
-calling thread maps the current block into the ellipsoid and counts it.
-The count is a sum over fixed blocks, so R does not depend on whether
-the filler ran, and a support's contains() only ever runs on the
-calling thread.
+jumped b times (by 2^128 draws each), so blocks are independent streams.
+Each block is drawn, mapped into the ellipsoid and counted on the
+calling thread before the next is drawn, so the count holds one block
+at a time whatever n is.
 """
 
 import operator
-import os
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,26 +135,6 @@ class ConstrainedCorrectionConfig:
 _BLOCK_ROWS = 1 << 14
 
 
-def _cpu_count():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on macOS and Windows
-        return os.cpu_count() or 1
-
-
-def _draw(gen, g, u):
-    """Fill g with a block's normals, then u with its uniforms, from gen,
-    and return both; numpy releases the GIL for both. The caller makes
-    gen, g and u. Made on the filler thread, the arrays came from that
-    thread's own malloc arena and raised the count's resident peak by
-    12-38 MB (d = 100, n = 200 000, glibc), and the generator's set-up
-    held the GIL there: the count took about 5% longer (d = 10, 2 cores)."""
-    gen.standard_normal(out=g)
-    gen.random(out=u)
-    return g, u
-
-
 def _into_ellipsoid(e: Ellipsoid, g, u):
     """Map normals g and uniforms u to points center + (g @ scale.T) *
     (r / |g|), with radius r = c * u^(1/d)."""
@@ -178,39 +154,16 @@ def _uniform_blocks(e: Ellipsoid, n, seed):
     Direction from a normalized Gaussian vector, radius from c * u^(1/d).
     Block b draws its normals, then its uniforms, from
     Generator(Philox(key=seed).jumped(b)); block 0 is the seed's own
-    stream. The caller makes each block's generator and arrays; one
-    filler thread fills block b + 1 and hands it back as the result of
-    one future while the caller maps and counts block b, whose arrays
-    are dropped before its points are yielded. The fill is about two
-    thirds of a block's cost. With one usable CPU or one block nothing
-    is started. Close the generator to stop the filler early.
+    stream. Block b + 1 is drawn only when block b has been consumed.
     """
     _check_count(n, "sample")
     bits = _rng(seed).bit_generator
-    blocks = range(-(-n // _BLOCK_ROWS))
-    def block(b):  # _draw's arguments for block b
-        rows = min(_BLOCK_ROWS, n - b * _BLOCK_ROWS)
-        return (np.random.Generator(bits.jumped(b)), np.empty((rows, e.dim)),
-                np.empty(rows))
-
-    # a filler forced on here, one CPU at BLAS's default threads, made
-    # no count faster: 393 -> 407 ms at d = 10, n = 10^6, and a one-block
-    # call (d = 10, n = 1000) went from 0.68 to 1.05 ms (2-core Linux)
-    if len(blocks) == 1 or _cpu_count() == 1:
-        yield from (_into_ellipsoid(e, *_draw(*block(b))) for b in blocks)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1) as filler:
-        ahead = filler.submit(_draw, *block(0))
-        for b in blocks:
-            # queued before block b is awaited, so the filler never waits
-            queued = filler.submit(_draw, *block(b + 1)) if b + 1 in blocks else None
-            g, u = ahead.result()
-            ahead = queued
-            pts = _into_ellipsoid(e, g, u)
-            del g, u
-            yield pts
+    for b, start in enumerate(range(0, n, _BLOCK_ROWS)):
+        gen = np.random.Generator(bits.jumped(b))
+        rows = min(_BLOCK_ROWS, n - start)
+        # arguments are evaluated left to right: the normals, then the radii
+        yield _into_ellipsoid(e, gen.standard_normal((rows, e.dim)),
+                              gen.random(rows))
 
 
 def estimate_volume_ratio(e: Ellipsoid, support: SupportPredicate, n, seed,
@@ -228,8 +181,8 @@ def estimate_volume_ratio(e: Ellipsoid, support: SupportPredicate, n, seed,
         _check_count(n, "sample")
         _check_seed(seed)
         return 1.0, (1.0, 1.0)
-    with closing(_uniform_blocks(e, n, seed)) as blocks:
-        hits = sum(np.count_nonzero(support.contains(pts)) for pts in blocks)
+    hits = sum(np.count_nonzero(support.contains(pts))
+               for pts in _uniform_blocks(e, n, seed))
     if hits == 0:
         raise ZeroSupportOverlap(
             "no uniform sample fell inside the support; increase n or check "

@@ -392,11 +392,11 @@ class TestVectorizedIngest:
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("suffix, t, bound", [(".csv", 20_000, 1.4),
-                                                  (".jsonl", 10_000, 4.0)])
+                                                  (".jsonl", 10_000, 2.5)])
     def test_peak_memory_in_draws(self, tmp_path, suffix, t, bound):
         # the theta columns are compacted inside the parsed table, not
         # copied out of it, and JSONL holds at most one block of records
-        # as Python numbers
+        # as Python numbers beside one table that grows in place
         d = 50
         x = np.random.default_rng(0).standard_normal((t, d))
         names = [f"theta_{i}" for i in range(1, d + 1)] + ["log_unnorm_posterior"]
@@ -418,10 +418,13 @@ class TestVectorizedIngest:
         assert np.array_equal(draws, x)
         assert peak <= bound * x.nbytes
 
-    def test_generated_jsonl_is_vectorized_and_identical(self, tmp_path):
+    # the table starts at 2048 rows and grows by half: 7000 rows grow it
+    # three times
+    @pytest.mark.parametrize("t", [1, 3000, 7000])
+    def test_generated_jsonl_is_vectorized_and_identical(self, tmp_path, t):
         path = str(tmp_path / "draws.jsonl")
         with open(path, "wb") as fh:
-            fh.write(draw_table_bytes(jsonl=True, t=3000))
+            fh.write(draw_table_bytes(jsonl=True, t=t))
         fast = _load_jsonl_columns(path)
         assert fast is not None
         for a, b in zip(fast, _load_table_rows(path)):
@@ -561,6 +564,8 @@ class TestEstimateCommand:
         ["scv", "--policies", "optimal", "grid:1,2"],
         ["scv", "--dmax", "-3"],
         ["scv", "--dmax", "0"],
+        ["scv", "--dmax", "1000001"],
+        ["scv", "--dmax", "100000000000000000000"],
         ["replicate", "gaussian-T", "--out", "unused", "--seed", "-1"],
         ["replicate", "gaussian-T", "--out", "unused",
          "--seed", "18446744073709551616"],
@@ -1057,8 +1062,9 @@ class TestStartupImports:
                 ["estimate", {path!r}, "--radius", "fixed:2", "--ar1"],
                 ["estimate", {path!r}, "--radius", "optimal"],
                 ["estimate", {path!r}, "--radius", "chisq_median"],
-                # a one-block volume ratio starts no thread pool
+                # a volume ratio of one block or of seven starts no thread
                 ["correct", {path!r}, "--support", "positive:0,1", "--n", "1000"],
+                ["correct", {path!r}, "--support", "positive:0,1", "--n", "100000"],
             )
             result["replicate"] = run(
                 ["replicate", "gaussian-T", "--out", {str(tmp_path)!r}],
@@ -1074,7 +1080,7 @@ class TestStartupImports:
                        stdout=subprocess.DEVNULL)
         with open(report) as fh:
             scv, estimate, replicate = json.load(fh).values()
-        assert scv["codes"] == [0] and estimate["codes"] == [0] * 5
+        assert scv["codes"] == [0] and estimate["codes"] == [0] * 6
         assert replicate["codes"] == [0] * 3
         assert scv["scipy"] == estimate["scipy"] == replicate["scipy"] == []
         assert scv["models"] == estimate["models"] == []

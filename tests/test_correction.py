@@ -1,7 +1,6 @@
 """Constrained-support correction: predicates, uniform sampling, volume ratio."""
 
 import math
-import os
 import threading
 import tracemalloc
 
@@ -17,7 +16,6 @@ from thames.correction import (
     _BLOCK_ROWS,
     ConstrainedCorrectionConfig,
     SupportPredicate,
-    _cpu_count,
     _uniform_blocks,
     estimate_volume_ratio,
 )
@@ -313,84 +311,16 @@ class TestVolumeRatio:
         pts = sample_uniform(e, n, seed=5)
         assert r_hat == support.contains(pts).mean()
 
-    @pytest.mark.parametrize("cpus", [1, 4])
-    def test_same_ratio_whatever_the_cpu_count(self, cpus, monkeypatch):
-        # block b draws from its own jumped stream, so how many threads
-        # fill the blocks changes neither the points nor the count
-        e = Ellipsoid(np.array([0.3, -0.2, 0.1]), np.eye(3), 1.5)
-        support = SupportPredicate.positive_orthant([0, 2])
-        n = 3 * _BLOCK_ROWS + 5
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-        serial = estimate_volume_ratio(e, support, n, seed=5)
-        points = sample_uniform(e, n, seed=5)
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
-        assert estimate_volume_ratio(e, support, n, seed=5) == serial
-        assert np.array_equal(sample_uniform(e, n, seed=5), points)
-
-    def test_callback_runs_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
-                            raising=False)
+    def test_callback_error_stops_the_count(self):
+        # blocks are drawn and counted on the calling thread, one after the
+        # other: no thread is started, and an error in the support's
+        # callback ends the count at the block that raised it
         baseline = threading.active_count()
-        callers, running = set(), []
-
-        def positive(pts):
-            callers.add(threading.get_ident())
-            running.append(threading.active_count())
-            return pts[:, 0] > 0.0
-
-        e = Ellipsoid(np.zeros(2), np.eye(2), 1.0)
-        estimate_volume_ratio(e, SupportPredicate.callback(positive),
-                              3 * _BLOCK_ROWS + 5, seed=1)
-        assert callers == {threading.get_ident()}
-        assert len(running) == 4 and max(running) > baseline  # a pool ran
-        assert threading.active_count() == baseline
-
-    def test_blocks_are_made_on_the_calling_thread(self, monkeypatch):
-        # tracemalloc cannot see which malloc arena serves a block: arrays
-        # made on the filler thread come from its own arena and raise the
-        # resident peak. So every block's arrays and generator must be made
-        # on the calling thread, while the filler only fills them.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
-                            raising=False)
-        baseline = threading.active_count()
-        makers, running = [], []
-
-        def recorded(make):
-            def call(*args, **kwargs):
-                makers.append(threading.get_ident())
-                return make(*args, **kwargs)
-            return call
+        running, calls = [], []
 
         def positive(pts):
             running.append(threading.active_count())
             return pts[:, 0] > 0.0
-
-        monkeypatch.setattr(np, "empty", recorded(np.empty))
-        monkeypatch.setattr(np.random, "Generator", recorded(np.random.Generator))
-        e = Ellipsoid(np.zeros(2), np.eye(2), 1.0)
-        estimate_volume_ratio(e, SupportPredicate.callback(positive),
-                              3 * _BLOCK_ROWS, seed=1)
-        assert len(running) == 3 and max(running) > baseline  # a filler ran
-        # at least the seed's generator, then two arrays and a generator per
-        # block
-        assert len(makers) >= 1 + 3 * 3
-        assert set(makers) == {threading.get_ident()}
-
-    @pytest.mark.parametrize("cpus, expected", [(6, 6), (None, 1)])
-    def test_cpu_count_without_an_affinity_mask(self, cpus, expected,
-                                                monkeypatch):
-        # macOS and Windows have no sched_getaffinity
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert _cpu_count() == expected
-
-    def test_callback_error_stops_the_pool(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
-                            raising=False)
-        baseline = threading.active_count()
-        calls = []
 
         def failing(pts):
             calls.append(len(pts))
@@ -399,10 +329,13 @@ class TestVolumeRatio:
             return pts[:, 0] > 0.0
 
         e = Ellipsoid(np.zeros(2), np.eye(2), 1.0)
+        estimate_volume_ratio(e, SupportPredicate.callback(positive),
+                              3 * _BLOCK_ROWS, seed=1)
+        assert running == [baseline] * 3
         with pytest.raises(RuntimeError, match="support callback failed"):
             estimate_volume_ratio(e, SupportPredicate.callback(failing),
                                   10 * _BLOCK_ROWS, seed=1)
-        assert len(calls) == 2
+        assert calls == [_BLOCK_ROWS, _BLOCK_ROWS]
         assert threading.active_count() == baseline
 
     def test_memory_does_not_grow_with_n(self):
@@ -417,31 +350,6 @@ class TestVolumeRatio:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
-
-    def test_memory_does_not_grow_with_the_cpu_count(self, monkeypatch):
-        # one filler thread whatever the host: a pool per CPU would hold
-        # 62 blocks of 1.4 MB here
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
-                            raising=False)
-        d = 10
-        e = Ellipsoid(np.full(d, 0.2), np.eye(d), math.sqrt(d + 1.0))
-        support = SupportPredicate.positive_orthant(range(d))
-        baseline = threading.active_count()
-        running = []
-
-        def positive(pts):
-            running.append(threading.active_count())
-            return support.contains(pts)
-
-        tracemalloc.start()
-        try:
-            estimate_volume_ratio(e, SupportPredicate.callback(positive),
-                                  1_000_000, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
-        assert max(running) == baseline + 1
 
     def test_quarter_plane_oracle(self):
         # orthant through the center of a spherical ellipsoid: ratio 1/4
