@@ -432,6 +432,19 @@ class TestVectorizedIngest:
             assert a.flags["C_CONTIGUOUS"]
 
 
+    # line 2048 is the last record of the first block, 2049 the first of
+    # the second, and 5000 comes after the table has grown
+    @pytest.mark.parametrize("line", [2048, 2049, 5000])
+    def test_bad_value_in_a_later_block(self, tmp_path, capsys, line):
+        # a value the fast path does not settle, after whole blocks went
+        # into the table, still defers to the row parser
+        lines = draw_table_bytes(jsonl=True, t=6000).decode().splitlines(True)
+        lines[line - 1] = ('{"theta_1": true, "theta_2": 0, "log_prior": -1, '
+                           '"log_likelihood": -1}\n')
+        self.check(capsys, str(tmp_path / "draws.jsonl"), _load_jsonl_columns,
+                   "".join(lines), False)
+
+
 class TestFlagParsing:
     def test_radius_policies(self):
         assert parse_radius_policy("sqrt_d_plus_1").kind == "sqrt_d_plus_1"

@@ -1,5 +1,6 @@
 """Constrained-support correction: predicates, uniform sampling, volume ratio."""
 
+import itertools
 import math
 import threading
 import tracemalloc
@@ -16,6 +17,7 @@ from thames.correction import (
     _BLOCK_ROWS,
     ConstrainedCorrectionConfig,
     SupportPredicate,
+    _into_ellipsoid,
     _uniform_blocks,
     estimate_volume_ratio,
 )
@@ -242,6 +244,40 @@ class TestUniformSampling:
             blocks.append(e.center + (g @ e.scale.T) * (r / norms)[:, None])
         expected = np.concatenate(blocks)
         assert np.array_equal(sample_uniform(e, n, seed=17), expected)
+
+    @pytest.mark.parametrize("b", [0, 1, 5])
+    def test_block_matches_arrays_filled_from_its_stream(self, b):
+        # a block's normals and radii are the numbers that filling
+        # preallocated arrays from its jumped stream gives, so how the
+        # arrays are made does not move R_hat; block 5 is the short last one
+        d, n = 3, 5 * _BLOCK_ROWS + 7
+        e = Ellipsoid(np.array([0.5, -1.0, 2.0]), np.diag([1.0, 2.0, 0.5]), 1.5)
+        rows = min(_BLOCK_ROWS, n - b * _BLOCK_ROWS)
+        gen = np.random.Generator(np.random.Philox(key=np.uint64(11)).jumped(b))
+        g, u = np.empty((rows, d)), np.empty(rows)
+        gen.standard_normal(out=g)
+        gen.random(out=u)
+        block = next(itertools.islice(_uniform_blocks(e, n, seed=11), b, None))
+        assert np.array_equal(block, _into_ellipsoid(e, g, u))
+
+    def test_blocks_are_drawn_one_at_a_time(self, monkeypatch):
+        # block b + 1's stream is made only when block b has been taken,
+        # so a count holds one block whatever n is
+        made = []
+        generator = np.random.Generator
+
+        def recorded(bits):
+            made.append(bits)
+            return generator(bits)
+
+        monkeypatch.setattr(np.random, "Generator", recorded)
+        e = Ellipsoid(np.zeros(2), np.eye(2), 1.0)
+        sizes = []
+        for pts in _uniform_blocks(e, 3 * _BLOCK_ROWS + 5, seed=1):
+            sizes.append(len(pts))
+            # the seed's generator, then one per block taken so far
+            assert len(made) == 1 + len(sizes)
+        assert sizes == [_BLOCK_ROWS] * 3 + [5]
 
     def test_rejects_bad_count(self):
         e = Ellipsoid(np.zeros(1), np.eye(1), 1.0)
