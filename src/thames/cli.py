@@ -33,6 +33,7 @@ is imported only to checksum an input file.
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import operator
@@ -113,8 +114,8 @@ def file_checksum(path):
 # ---------------------------------------------------------------------------
 
 _THETA_RE = re.compile(r"^theta_(\d+)$")
-# rows per block of the column compaction and of the JSONL conversion, so
-# that their temporaries stay small whatever T is
+# rows per block of the column compaction, so that its temporary stays
+# small whatever T is
 _BLOCK_ROWS = 2048
 
 
@@ -307,52 +308,36 @@ def _load_jsonl_columns(path):
     rejects goes to the row parser, which raises the ParseError of the
     first bad line or returns the same arrays. json.loads gives a number
     as an int or a float, and numpy converts an int as float() does.
-    The values are converted _BLOCK_ROWS records at a time, so that no
-    more are held as Python numbers, into one table that grows in place
-    and last shrinks in place to the records.
+    np.fromiter converts the values one at a time into a buffer it grows
+    and last trims to the records, so no record is held as Python
+    numbers once it is read.
     """
-    table, values, pick, t = None, [], None, 0
+    records = (record for _, record in _rows_from_jsonl(path))
     try:
-        for _, record in _rows_from_jsonl(path):
-            if pick is None:
-                theta_names, density_names = _classify_columns(list(record))
-                names = theta_names + density_names
-                pick = operator.itemgetter(*names)  # >= 2 names: a tuple
-                table = np.empty((_BLOCK_ROWS, len(names)))
-            values.extend(pick(record))
-            if len(values) == _BLOCK_ROWS * len(names):
-                t, values = _put_rows(table, t, values), []
-                if t is None:
-                    return None
-    except (ParseError, KeyError):
+        first = next(records, None)
+        if first is None:
+            return None
+        theta_names, density_names = _classify_columns(list(first))
+        names = theta_names + density_names
+        pick = operator.itemgetter(*names)  # >= 2 names: a tuple
+        table = np.fromiter(_numbers(itertools.chain([first], records), pick),
+                            dtype=float)
+    except (ParseError, KeyError, TypeError, OverflowError):
         return None
-    if pick is None:
-        return None
-    t = _put_rows(table, t, values)
-    if t is None:
-        return None
-    table.resize((t, len(names)), refcheck=False)
+    table.shape = (-1, len(names))  # in place, so the table owns its buffer
     d = len(theta_names)
     return _checked_columns(table, range(d), range(d, len(names)))
 
 
-def _put_rows(table, t, values):
-    """Write values, row after row, into table from row t, growing it in
-    place by at least half when they do not fit; return the rows then
-    filled, or None unless each value is an int or a float within the
-    float range."""
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    try:
-        rows = np.array(values, dtype=float).reshape(-1, table.shape[1])
-    except OverflowError:  # an integer beyond the float range
-        return None
-    end = t + len(rows)
-    if end > len(table):
-        table.resize((max(end, len(table) * 3 // 2), table.shape[1]),
-                     refcheck=False)
-    table[t:end] = rows
-    return end
+def _numbers(records, pick):
+    """The values pick takes from each record, one after another, with
+    TypeError at the first that is not an int or a float (a bool is
+    neither)."""
+    for record in records:
+        for value in pick(record):
+            if type(value) is not float and type(value) is not int:
+                raise TypeError
+            yield value
 
 
 def _checked_columns(table, theta_idx, density_idx):
@@ -540,10 +525,12 @@ def parse_scv_policy(spec):
 def cmd_scv(args, stdout):
     if args.dmax < 1:
         raise InvalidInput(f"--dmax must be >= 1, got {args.dmax}")
-    # c_d >= sqrt(d), so above this no row's optimal radius can be computed
-    if args.dmax > MAX_RADIUS ** 2:
-        raise InvalidInput(f"--dmax must be <= {MAX_RADIUS ** 2:.0f}, the square "
-                           f"of the radius-theory cap, got {args.dmax}")
+    # c_d lies in [sqrt(d), sqrt(d + 4)]; above this that bracket passes
+    # the radius-theory cap
+    if args.dmax > MAX_RADIUS ** 2 - 4:
+        raise InvalidInput(f"--dmax must be <= {MAX_RADIUS ** 2 - 4:.0f}, so that "
+                           f"sqrt(d + 4) is within the radius-theory cap, "
+                           f"got {args.dmax}")
     # the whole table is built first, so an error prints only its JSON line
     rows = []
     for d in range(1, args.dmax + 1):

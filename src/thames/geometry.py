@@ -57,12 +57,7 @@ def _require_finite(a):
 def as_draw_matrix(draws, min_rows=1):
     """Validate and return a T x d float matrix of posterior draws."""
     a = _as_matrix(draws, min_rows)
-    # a sum is finite only if every entry is; the elementwise test runs
-    # only for a bad entry or an overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = a.sum()
-    if not np.isfinite(total):
-        _require_finite(a)
+    _require_finite(a)
     return a
 
 

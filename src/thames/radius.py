@@ -164,9 +164,12 @@ def _newton_root(value_and_slope, x, lo, hi, failure):
     value_and_slope(x) gives the function and its derivative at x.
     Newton steps start at x; one that would leave the bracket of the
     signs seen so far bisects it instead. The iteration stops at a
-    Newton step of at most 1e-12 x, or raises NumericalFailure(failure)
-    after _MAX_STEPS.
+    Newton step of at most 1e-12 x, or at x once values of both signs
+    have been seen at adjacent doubles: rounding noise in the function
+    can keep every Newton step above 1e-12 x, and such a bracket cannot
+    be split. It raises NumericalFailure(failure) after _MAX_STEPS.
     """
+    signs = set()
     for _ in range(_MAX_STEPS):
         g, slope = value_and_slope(x)
         if g == 0.0:
@@ -175,10 +178,14 @@ def _newton_root(value_and_slope, x, lo, hi, failure):
             lo = x
         else:
             hi = x
+        signs.add(g > 0.0)
         step = -g / slope
         if abs(step) <= 1e-12 * x:
             return x + step
-        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi) and len(signs) == 2:
+            return x
+        x = x + step if lo < x + step < hi else mid
     raise NumericalFailure(failure)
 
 
@@ -197,7 +204,8 @@ def optimal_radius(d):
         return g, (2.0 * d * math.exp(-g) - d - c * c) / c
 
     c = _newton_root(foc_and_slope, math.sqrt(d + 1.0), math.sqrt(d),
-                     math.sqrt(d + 4.0), f"no sign change bracketing c_{d}")
+                     math.sqrt(d + 4.0),
+                     f"Newton iteration for c_{d} did not converge")
     return OptimalRadius(c_d=c, l_d=c * c - d, scv_at_opt=scv_normal(d, c))
 
 
@@ -251,7 +259,8 @@ def chi_square_median_radius(d):
         return 0.5 - chi2_cdf(d, q), -density
 
     q = _newton_root(gap_and_slope, d * (1.0 - 2.0 / (9.0 * d)) ** 3, d - 1.0,
-                     float(d), f"no chi-squared median found for d = {d}")
+                     float(d), f"Newton iteration for the chi-squared median, "
+                     f"d = {d}, did not converge")
     return math.sqrt(q)
 
 

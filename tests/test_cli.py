@@ -392,11 +392,11 @@ class TestVectorizedIngest:
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("suffix, t, bound", [(".csv", 20_000, 1.4),
-                                                  (".jsonl", 10_000, 2.5)])
+                                                  (".jsonl", 10_000, 1.6)])
     def test_peak_memory_in_draws(self, tmp_path, suffix, t, bound):
         # the theta columns are compacted inside the parsed table, not
-        # copied out of it, and JSONL holds at most one block of records
-        # as Python numbers beside one table that grows in place
+        # copied out of it, and np.fromiter fills a JSONL table one value
+        # at a time, holding no block of records as Python numbers
         d = 50
         x = np.random.default_rng(0).standard_normal((t, d))
         names = [f"theta_{i}" for i in range(1, d + 1)] + ["log_unnorm_posterior"]
@@ -418,8 +418,8 @@ class TestVectorizedIngest:
         assert np.array_equal(draws, x)
         assert peak <= bound * x.nbytes
 
-    # the table starts at 2048 rows and grows by half: 7000 rows grow it
-    # three times
+    # one record, and tables of 3000 and 7000 records, across which
+    # np.fromiter grows its buffer several times before it trims it
     @pytest.mark.parametrize("t", [1, 3000, 7000])
     def test_generated_jsonl_is_vectorized_and_identical(self, tmp_path, t):
         path = str(tmp_path / "draws.jsonl")
@@ -432,14 +432,22 @@ class TestVectorizedIngest:
             assert a.flags["C_CONTIGUOUS"]
 
 
-    # line 2048 is the last record of the first block, 2049 the first of
-    # the second, and 5000 comes after the table has grown
-    @pytest.mark.parametrize("line", [2048, 2049, 5000])
-    def test_bad_value_in_a_later_block(self, tmp_path, capsys, line):
-        # a value the fast path does not settle, after whole blocks went
-        # into the table, still defers to the row parser
+    # by line 2048 np.fromiter has grown its buffer several times, and
+    # by line 5000 more; each bad line ends the iteration with one of the
+    # exceptions that defer: TypeError (true, a string, null), KeyError
+    # (a missing column), ParseError (invalid JSON) and OverflowError (an
+    # integer beyond the float range)
+    @pytest.mark.parametrize("line, theta_1", [
+        (2048, "true"), (2049, "true"), (5000, "true"), (5000, '"abc"'),
+        (5000, "null"), (5000, None), (5000, "1,,"), (5000, "9" * 400)],
+        ids=["2048", "2049", "5000", "5000-string", "5000-null", "5000-missing",
+             "5000-invalid-json", "5000-400-digits"])
+    def test_bad_value_in_a_later_block(self, tmp_path, capsys, line, theta_1):
+        # a value the fast path does not settle, after thousands of values
+        # went into the table, still defers to the row parser
         lines = draw_table_bytes(jsonl=True, t=6000).decode().splitlines(True)
-        lines[line - 1] = ('{"theta_1": true, "theta_2": 0, "log_prior": -1, '
+        first = "" if theta_1 is None else f'"theta_1": {theta_1}, '
+        lines[line - 1] = ('{' + first + '"theta_2": 0, "log_prior": -1, '
                            '"log_likelihood": -1}\n')
         self.check(capsys, str(tmp_path / "draws.jsonl"), _load_jsonl_columns,
                    "".join(lines), False)
@@ -944,6 +952,13 @@ class TestScvCommand:
         assert code == 0
         starts = [d for d, c in calls if c == math.sqrt(d + 1.0)]
         assert starts == [1, 2, 3, 4, 5]
+
+    def test_dmax_cap(self, capsys):
+        # sqrt(d + 4), the top of c_d's bracket, reaches the radius cap of
+        # 1000 at d = 999 996
+        code, out = run_cli(capsys, "scv", "--dmax", "999997")
+        assert code == 2
+        assert "--dmax must be <= 999996" in json.loads(out)["message"]
 
     def test_error_mid_table_is_one_json_line(self, capsys):
         # the SCV at c = 40 overflows for every d; no partial table is printed

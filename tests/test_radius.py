@@ -222,8 +222,19 @@ class TestOptimalRadius:
         for value in (1.0, -1.0, math.nan):
             monkeypatch.setattr(radius, "_foc", lambda d, c: value)
             with pytest.raises(NumericalFailure,
-                               match="no sign change bracketing c_3"):
+                               match="for c_3 did not converge"):
                 radius.optimal_radius.__wrapped__(3)
+
+    # near the cap _foc carries rounding noise of about 1e-9 against a
+    # slope of about -1e-3, so no Newton step gets under 1e-12 c; the
+    # iteration ends where the sign changes between adjacent doubles.
+    # 999 996 is the largest d that scv --dmax takes
+    @pytest.mark.parametrize("d", [999_993, 999_994, 999_996])
+    def test_noisy_first_order_condition_near_the_cap(self, d):
+        c = radius.optimal_radius.__wrapped__(d).c_d
+        assert math.sqrt(d) < c < math.sqrt(d + 4.0) <= MAX_RADIUS
+        g = radius._foc(d, c)
+        assert g * radius._foc(d, np.nextafter(c, np.inf if g > 0 else 0.0)) < 0
 
 
 class TestChi2Cdf:
