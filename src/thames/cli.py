@@ -36,7 +36,6 @@ import csv
 import itertools
 import json
 import math
-import operator
 import os
 import re
 import sys
@@ -237,26 +236,42 @@ def _rows_from_jsonl(path):
 
 
 def _load_table_rows(path):
-    """Row-by-row parse of a draw table; the reference for load_table.
+    """Parse a draw table one record at a time: every JSONL file, and a
+    CSV that np.loadtxt does not settle.
 
-    Reports the line and column of the first bad value.
+    The first record picks the columns. np.fromiter then converts the
+    values of each record, thetas first, into one table that it grows
+    and last trims to the records, so no record is held as Python
+    numbers once it is read. Reports the line and column of the first
+    bad value.
     """
     rows = _rows_from_jsonl(path) if path.endswith(".jsonl") else _rows_from_csv(path)
-    theta_names = density_names = None
-    draws, log_post = [], []
+    first = next(rows, None)
+    if first is None:
+        raise ParseError("no data rows", line=1)
+    theta_names, density_names = _classify_columns(list(first[1]))
+    columns = ([(n, True) for n in theta_names]
+               + [(n, False) for n in density_names])
+    table = np.fromiter(_values(itertools.chain([first], rows), columns),
+                        dtype=float)
+    table.shape = (-1, len(columns))  # in place, so the table owns its buffer
+    d = len(theta_names)
+    return _checked_columns(table, range(d), range(d, len(columns)))
+
+
+def _values(rows, columns):
+    """The values of each record, in the order of columns, a list of
+    (name, is_theta); a finite float is taken as it is, and any other
+    value goes through _parse_value."""
     for line_no, record in rows:
-        if theta_names is None:
-            theta_names, density_names = _classify_columns(list(record))
-        for name in theta_names + density_names:
+        for name, _ in columns:
             if name not in record:
                 raise ParseError(f"missing column {name!r}", line=line_no)
-        draws.append([_parse_value(record[n], n, line_no, True)
-                      for n in theta_names])
-        log_post.append(sum(_parse_value(record[n], n, line_no, False)
-                            for n in density_names))
-    if theta_names is None:
-        raise ParseError("no data rows", line=1)
-    return np.asarray(draws, dtype=float), np.asarray(log_post, dtype=float)
+        for name, is_theta in columns:
+            value = record[name]
+            if type(value) is not float or not -math.inf < value < math.inf:
+                value = _parse_value(value, name, line_no, is_theta)
+            yield value
 
 
 def _load_csv_columns(path):
@@ -299,51 +314,11 @@ def _load_csv_columns(path):
     return _checked_columns(table, theta_idx, density_idx)
 
 
-def _load_jsonl_columns(path):
-    """The records of _rows_from_jsonl as one array, or None to defer to
-    the row parser.
-
-    Only plain JSON numbers are settled here: a string that float()
-    reads, a bad value, a missing column or a line _rows_from_jsonl
-    rejects goes to the row parser, which raises the ParseError of the
-    first bad line or returns the same arrays. json.loads gives a number
-    as an int or a float, and numpy converts an int as float() does.
-    np.fromiter converts the values one at a time into a buffer it grows
-    and last trims to the records, so no record is held as Python
-    numbers once it is read.
-    """
-    records = (record for _, record in _rows_from_jsonl(path))
-    try:
-        first = next(records, None)
-        if first is None:
-            return None
-        theta_names, density_names = _classify_columns(list(first))
-        names = theta_names + density_names
-        pick = operator.itemgetter(*names)  # >= 2 names: a tuple
-        table = np.fromiter(_numbers(itertools.chain([first], records), pick),
-                            dtype=float)
-    except (ParseError, KeyError, TypeError, OverflowError):
-        return None
-    table.shape = (-1, len(names))  # in place, so the table owns its buffer
-    d = len(theta_names)
-    return _checked_columns(table, range(d), range(d, len(names)))
-
-
-def _numbers(records, pick):
-    """The values pick takes from each record, one after another, with
-    TypeError at the first that is not an int or a float (a bool is
-    neither)."""
-    for record in records:
-        for value in pick(record):
-            if type(value) is not float and type(value) is not int:
-                raise TypeError
-            yield value
-
-
 def _checked_columns(table, theta_idx, density_idx):
     """(draws, log_post) from the theta and density columns of a parsed
     table, or None when a theta is not finite or a density is NaN or
-    +inf, so that the row parser reports the line.
+    +inf, so that the row parser reports the line. The row parser's own
+    table always passes: each of its values has passed _parse_value.
 
     The table must own its buffer, which becomes the draws: no second
     copy of them is made. The densities are summed from views of their
@@ -384,17 +359,17 @@ def load_table(path):
     byte-order mark at the start of the file, as Excel and PowerShell
     write, is skipped.
 
-    CSV is parsed in one vectorized pass, and JSONL by json.loads per
-    line with one array conversion. Any input the fast pass cannot
+    There is one parser per format. A CSV is parsed in one np.loadtxt
+    pass, and a JSONL file by the row parser. A CSV that loadtxt cannot
     settle (a bad value, a ragged row, a token float() accepts and
-    loadtxt does not, such as 1_0, a JSONL value given as a string) goes
-    to the row parser, which returns the same arrays or raises the
-    ParseError with its line number.
+    loadtxt does not, such as 1_0) goes to the row parser too, which
+    returns the same arrays or raises the ParseError with its line
+    number.
     """
-    fast = _load_jsonl_columns if path.endswith(".jsonl") else _load_csv_columns
-    tables = fast(path)
-    if tables is not None:
-        return tables
+    if not path.endswith(".jsonl"):
+        tables = _load_csv_columns(path)
+        if tables is not None:
+            return tables
     return _load_table_rows(path)
 
 

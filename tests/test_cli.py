@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from thames import estimator, experiments, radius
 from thames.cli import (
     _load_csv_columns,
-    _load_jsonl_columns,
     _load_table_rows,
     _write_csv,
     format_float,
@@ -44,6 +43,13 @@ from thames.seeds import spawn_seed, splitmix64
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def write_text(path, text):
+    """Write text to path as UTF-8, newlines as they are; the path as a str."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    return str(path)
 
 
 def write_draw_csv(path, d=2, t=2000, seed=3, mangle=None, model=None):
@@ -209,6 +215,7 @@ class TestLoadTable:
         assert json.loads(out) == {"error": "parse", "line": line,
                                    "message": "invalid UTF-8 byte 0xff"}
 
+    # vectorized: whether np.loadtxt settles a CSV without the row parser
     @pytest.mark.parametrize("name, text, vectorized", [
         ("draws.csv", "theta_1,theta_2,log_unnorm_posterior\n1,2,-3\n4,5,-6\n",
          True),
@@ -216,7 +223,7 @@ class TestLoadTable:
          False),
         ("draws.jsonl",
          '{"theta_1": 1, "theta_2": 2, "log_unnorm_posterior": -3}\n'
-         '{"theta_1": 4, "theta_2": 5, "log_unnorm_posterior": -6}\n', True),
+         '{"theta_1": 4, "theta_2": 5, "log_unnorm_posterior": -6}\n', None),
     ], ids=["csv", "csv through the row parser", "jsonl"])
     def test_utf8_byte_order_mark_is_skipped(self, tmp_path, name, text,
                                              vectorized):
@@ -226,8 +233,8 @@ class TestLoadTable:
             fh.write(text)
         with open(marked, "w", encoding="utf-8-sig", newline="") as fh:
             fh.write(text)
-        fast = _load_jsonl_columns if name.endswith(".jsonl") else _load_csv_columns
-        assert (fast(marked) is not None) == vectorized
+        if vectorized is not None:
+            assert (_load_csv_columns(marked) is not None) == vectorized
         for a, b in zip(load_table(marked), load_table(plain)):
             assert a.tobytes() == b.tobytes()
 
@@ -289,97 +296,137 @@ INGEST_CASES = [
 
 J2 = '{"theta_1": 1, "log_unnorm_posterior": -2}\n'
 
-# as INGEST_CASES, for JSONL: only plain JSON numbers are settled without
-# the row parser
+
+def json_error(line):
+    """The message of json.loads's error on line; some differ across
+    Python versions."""
+    try:
+        json.loads(line)
+    except json.JSONDecodeError as exc:
+        return exc.msg
+    raise AssertionError(f"{line!r} is valid JSON")
+
+
+# (case, file text, the (draws, log_post) that load_table returns or the
+# (message, line) of its ParseError); only the row parser reads JSONL, so
+# each result is pinned
 JSONL_INGEST_CASES = [
     ("ints and floats",
-     J2 + '{"theta_1": 0.5, "log_unnorm_posterior": -2.5e-3}\n', True),
+     J2 + '{"theta_1": 0.5, "log_unnorm_posterior": -2.5e-3}\n',
+     ([[1.0], [0.5]], [-2.0, -0.0025])),
     ("reordered and extra keys, prior and likelihood",
      '{"chain": "a", "log_likelihood": -1.5, "theta_2": 0.2, '
      '"log_prior": -0.5, "theta_1": 0.1}\n'
      '{"theta_1": -0.4, "log_prior": -0.25, "theta_2": 0.3, '
-     '"log_likelihood": -2.5, "note": [1, {"x": null}]}\n', True),
+     '"log_likelihood": -2.5, "note": [1, {"x": null}]}\n',
+     ([[0.1, 0.2], [-0.4, 0.3]], [-2.0, -2.75])),
     ("duplicated key, last wins",
-     '{"theta_1": "abc", "theta_1": 0.5, "log_unnorm_posterior": -1}\n', True),
+     '{"theta_1": "abc", "theta_1": 0.5, "log_unnorm_posterior": -1}\n',
+     ([[0.5]], [-1.0])),
     ("two keys for one theta index",
-     '{"theta_1": 1, "theta_01": 2, "log_unnorm_posterior": -1}\n', False),
+     '{"theta_1": 1, "theta_01": 2, "log_unnorm_posterior": -1}\n',
+     ("columns 'theta_1' and 'theta_01' are both theta 1", 1)),
     ("Arabic-Indic digits in theta indices",
      '{"theta_\u0661": 1, "theta_\u0662": 2, "log_unnorm_posterior": -1}\n',
-     False),
+     ("column 'theta_\u0661': theta index is not ASCII digits", 1)),
     ("blank, whitespace-only and CRLF lines",
-     J2 + "\n   \n\t\r\n" + J2.replace("\n", "\r\n"), True),
+     J2 + "\n   \n\t\r\n" + J2.replace("\n", "\r\n"),
+     ([[1.0], [1.0]], [-2.0, -2.0])),
     ("-Infinity log_prior",
-     '{"theta_1": 1, "log_prior": -Infinity, "log_likelihood": -2}\n', True),
+     '{"theta_1": 1, "log_prior": -Infinity, "log_likelihood": -2}\n',
+     ([[1.0]], [-math.inf])),
     ("negative zero density sums to positive zero",
-     '{"theta_1": 1, "log_prior": -0.0, "log_likelihood": -0.0}\n', True),
+     '{"theta_1": 1, "log_prior": -0.0, "log_likelihood": -0.0}\n',
+     ([[1.0]], [0.0])),
     ("integers past 2**63",
      '{"theta_1": 9223372036854775809, "log_unnorm_posterior": '
-     '-36893488147419103233}\n', True),
+     '-36893488147419103233}\n',
+     ([[9.223372036854776e+18]], [-3.6893488147419103e+19])),
     ("strings float() reads",
-     '{"theta_1": "1.5", "log_unnorm_posterior": "-inf"}\n', False),
+     '{"theta_1": "1.5", "log_unnorm_posterior": "-inf"}\n',
+     ([[1.5]], [-math.inf])),
     ("true theta on line 2",
-     J2 + '{"theta_1": true, "log_unnorm_posterior": -1}\n', False),
-    ("null density", '{"theta_1": 1, "log_unnorm_posterior": null}\n', False),
-    ("NaN theta", J2 + '{"theta_1": NaN, "log_unnorm_posterior": -1}\n', False),
+     J2 + '{"theta_1": true, "log_unnorm_posterior": -1}\n',
+     ("column 'theta_1': cannot parse True", 2)),
+    ("null density", '{"theta_1": 1, "log_unnorm_posterior": null}\n',
+     ("column 'log_unnorm_posterior': cannot parse None", 1)),
+    ("NaN theta", J2 + '{"theta_1": NaN, "log_unnorm_posterior": -1}\n',
+     ("column 'theta_1': value must be finite", 2)),
     ("Infinity density",
-     J2 + '{"theta_1": 1, "log_unnorm_posterior": Infinity}\n', False),
+     J2 + '{"theta_1": 1, "log_unnorm_posterior": Infinity}\n',
+     ('column \'log_unnorm_posterior\': value must be finite or "-inf"', 2)),
     ("1e400 theta", J2 + '{"theta_1": 1e400, "log_unnorm_posterior": -1}\n',
-     False),
+     ("column 'theta_1': value must be finite", 2)),
     ("400-digit integer",
-     J2 + '{"theta_1": ' + "9" * 400 + ', "log_unnorm_posterior": -1}\n', False),
-    ("list value", J2 + '{"theta_1": [1], "log_unnorm_posterior": -1}\n', False),
-    ("line that is not an object", J2 + "[1, -2]\n", False),
-    ("invalid JSON on line 2", J2 + '{"theta_1": 1,}\n', False),
-    ("line 2 nested past the recursion limit", J2 + "[" * 100_000 + "\n", False),
+     J2 + '{"theta_1": ' + "9" * 400 + ', "log_unnorm_posterior": -1}\n',
+     ("column 'theta_1': cannot parse " + "9" * 40 + "... (400 characters)", 2)),
+    ("list value", J2 + '{"theta_1": [1], "log_unnorm_posterior": -1}\n',
+     ("column 'theta_1': cannot parse [1]", 2)),
+    ("line that is not an object", J2 + "[1, -2]\n",
+     ("each line must be a JSON object", 2)),
+    ("invalid JSON on line 2", J2 + '{"theta_1": 1,}\n',
+     ("invalid JSON: " + json_error('{"theta_1": 1,}'), 2)),
+    ("line 2 nested past the recursion limit", J2 + "[" * 100_000 + "\n",
+     ("invalid JSON: nested too deeply", 2)),
     ("missing column on line 3",
-     J2 + J2 + '{"theta_1": 1, "log_prior": -1}\n', False),
-    # the row parser rejects line 2 before line 3's JSON would be read
+     J2 + J2 + '{"theta_1": 1, "log_prior": -1}\n',
+     ("missing column 'log_unnorm_posterior'", 3)),
+    # line 2 is rejected before line 3's JSON is read
     ("true theta on line 2, invalid JSON on line 3",
      J2 + '{"theta_1": true, "log_unnorm_posterior": -1}\n'
-     '{"theta_1": 1,}\n', False),
+     '{"theta_1": 1,}\n',
+     ("column 'theta_1': cannot parse True", 2)),
     ("missing column on line 2, a list on line 3",
-     J2 + '{"theta_1": 1}\n[1, 2]\n', False),
-    ("no density columns", '{"theta_1": 1, "other": 2}\n', False),
-    ("only blank lines", "\n \n", False),
-    ("empty file", "", False),
+     J2 + '{"theta_1": 1}\n[1, 2]\n',
+     ("missing column 'log_unnorm_posterior'", 2)),
+    ("no density columns", '{"theta_1": 1, "other": 2}\n',
+     ("need log_prior + log_likelihood columns or log_unnorm_posterior", 1)),
+    ("only blank lines", "\n \n", ("no data rows", 1)),
+    ("empty file", "", ("no data rows", 1)),
 ]
 
 
 class TestVectorizedIngest:
-    """load_table must agree with the row parser it replaces on every input."""
+    """A CSV that np.loadtxt settles must give what the row parser gives,
+    and the row parser, the only reader of JSONL, must give the arrays or
+    the ParseError pinned for each input."""
 
     @pytest.mark.parametrize("text, vectorized",
                              [case[1:] for case in INGEST_CASES],
                              ids=[case[0] for case in INGEST_CASES])
     def test_matches_row_parser(self, tmp_path, capsys, text, vectorized):
-        self.check(capsys, str(tmp_path / "draws.csv"), _load_csv_columns, text,
-                   vectorized)
-
-    @pytest.mark.parametrize("text, vectorized",
-                             [case[1:] for case in JSONL_INGEST_CASES],
-                             ids=[case[0] for case in JSONL_INGEST_CASES])
-    def test_jsonl_matches_row_parser(self, tmp_path, capsys, text, vectorized):
-        self.check(capsys, str(tmp_path / "draws.jsonl"), _load_jsonl_columns,
-                   text, vectorized)
-
-    @staticmethod
-    def check(capsys, path, fast, text, vectorized):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
-        assert (fast(path) is not None) == vectorized
+        path = write_text(tmp_path / "draws.csv", text)
+        assert (_load_csv_columns(path) is not None) == vectorized
         try:
             expected = _load_table_rows(path)
         except ParseError as exc:
-            with pytest.raises(ParseError) as got:
-                load_table(path)
-            assert (str(got.value), got.value.line) == (str(exc), exc.line)
-            code, out = run_cli(capsys, "estimate", path)
-            assert code == 3
-            assert json.loads(out) == {"error": "parse", "message": str(exc),
-                                       "line": exc.line}
+            self.check_error(capsys, path, str(exc), exc.line)
             return
-        got = load_table(path)
-        for a, b in zip(got, expected):
+        self.check_arrays(path, expected)
+
+    @pytest.mark.parametrize("text, expected",
+                             [case[1:] for case in JSONL_INGEST_CASES],
+                             ids=[case[0] for case in JSONL_INGEST_CASES])
+    def test_jsonl_pinned_result(self, tmp_path, capsys, text, expected):
+        path = write_text(tmp_path / "draws.jsonl", text)
+        if isinstance(expected[0], str):
+            self.check_error(capsys, path, *expected)
+        else:
+            self.check_arrays(path, [np.array(e, dtype=float) for e in expected])
+
+    @staticmethod
+    def check_error(capsys, path, message, line):
+        with pytest.raises(ParseError) as got:
+            load_table(path)
+        assert (str(got.value), got.value.line) == (message, line)
+        code, out = run_cli(capsys, "estimate", path)
+        assert code == 3
+        assert json.loads(out) == {"error": "parse", "message": message,
+                                   "line": line}
+
+    @staticmethod
+    def check_arrays(path, expected):
+        for a, b in zip(load_table(path), expected, strict=True):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
             assert a.flags["C_CONTIGUOUS"]
 
@@ -391,24 +438,36 @@ class TestVectorizedIngest:
         for a, b in zip(fast, _load_table_rows(path)):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("suffix, t, bound", [(".csv", 20_000, 1.4),
-                                                  (".jsonl", 10_000, 1.6)])
-    def test_peak_memory_in_draws(self, tmp_path, suffix, t, bound):
+    # first: the text of the first theta, 10, and what it is replaced by,
+    # so that only the row parser reads the file
+    @pytest.mark.parametrize("suffix, t, bound, first", [
+        pytest.param(".csv", 20_000, 1.4, None, id=".csv-20000-1.4"),
+        pytest.param(".jsonl", 10_000, 1.6, None, id=".jsonl-10000-1.6"),
+        pytest.param(".csv", 20_000, 1.6, ("\n10,", "\n1_0,"),
+                     id=".csv-20000-1.6-row-parser"),
+        pytest.param(".jsonl", 10_000, 1.6, (": 10.0,", ': "10",'),
+                     id=".jsonl-10000-1.6-string"),
+    ])
+    def test_peak_memory_in_draws(self, tmp_path, suffix, t, bound, first):
         # the theta columns are compacted inside the parsed table, not
-        # copied out of it, and np.fromiter fills a JSONL table one value
-        # at a time, holding no block of records as Python numbers
+        # copied out of it, and np.fromiter fills the row parser's table
+        # one value at a time, holding no block of records as Python numbers
         d = 50
         x = np.random.default_rng(0).standard_normal((t, d))
+        x[0, 0] = 10.0
         names = [f"theta_{i}" for i in range(1, d + 1)] + ["log_unnorm_posterior"]
         table = np.column_stack([x, -0.5 * np.einsum("ij,ij->i", x, x)])
-        path = str(tmp_path / ("draws" + suffix))
-        with open(path, "w") as fh:
-            if suffix == ".csv":
-                np.savetxt(fh, table, delimiter=",", header=",".join(names),
-                           comments="", fmt="%.17g")
-            else:
-                fh.writelines(json.dumps(dict(zip(names, row))) + "\n"
-                              for row in table.tolist())
+        text = io.StringIO()
+        if suffix == ".csv":
+            np.savetxt(text, table, delimiter=",", header=",".join(names),
+                       comments="", fmt="%.17g")
+        else:
+            text.writelines(json.dumps(dict(zip(names, row))) + "\n"
+                            for row in table.tolist())
+        text = text.getvalue()
+        if first is not None:
+            text = text.replace(*first, 1)
+        path = write_text(tmp_path / ("draws" + suffix), text)
         tracemalloc.start()
         try:
             draws, _ = load_table(path)
@@ -425,32 +484,34 @@ class TestVectorizedIngest:
         path = str(tmp_path / "draws.jsonl")
         with open(path, "wb") as fh:
             fh.write(draw_table_bytes(jsonl=True, t=t))
-        fast = _load_jsonl_columns(path)
-        assert fast is not None
-        for a, b in zip(fast, _load_table_rows(path)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            assert a.flags["C_CONTIGUOUS"]
+        draws, lp, ll = draw_table_arrays(t)
+        # left to right from 0, as load_table sums the density columns
+        self.check_arrays(path, (draws, 0.0 + lp + ll))
 
-
-    # by line 2048 np.fromiter has grown its buffer several times, and
-    # by line 5000 more; each bad line ends the iteration with one of the
-    # exceptions that defer: TypeError (true, a string, null), KeyError
-    # (a missing column), ParseError (invalid JSON) and OverflowError (an
-    # integer beyond the float range)
-    @pytest.mark.parametrize("line, theta_1", [
-        (2048, "true"), (2049, "true"), (5000, "true"), (5000, '"abc"'),
-        (5000, "null"), (5000, None), (5000, "1,,"), (5000, "9" * 400)],
+    # by line 2048 np.fromiter has grown its buffer several times, and by
+    # line 5000 more; the bad line still gives its ParseError, whether
+    # its theta_1 is true, a string, null, missing, invalid JSON or an
+    # integer beyond the float range
+    @pytest.mark.parametrize("line, theta_1, message", [
+        (2048, "true", "column 'theta_1': cannot parse True"),
+        (2049, "true", "column 'theta_1': cannot parse True"),
+        (5000, "true", "column 'theta_1': cannot parse True"),
+        (5000, '"abc"', "column 'theta_1': cannot parse 'abc'"),
+        (5000, "null", "column 'theta_1': cannot parse None"),
+        (5000, None, "missing column 'theta_1'"),
+        (5000, "1,,", "invalid JSON: " + json_error('{"theta_1": 1,, "theta_2": 0}')),
+        (5000, "9" * 400, "column 'theta_1': cannot parse " + "9" * 40
+                          + "... (400 characters)")],
         ids=["2048", "2049", "5000", "5000-string", "5000-null", "5000-missing",
              "5000-invalid-json", "5000-400-digits"])
-    def test_bad_value_in_a_later_block(self, tmp_path, capsys, line, theta_1):
-        # a value the fast path does not settle, after thousands of values
-        # went into the table, still defers to the row parser
+    def test_bad_value_in_a_later_block(self, tmp_path, capsys, line, theta_1,
+                                        message):
         lines = draw_table_bytes(jsonl=True, t=6000).decode().splitlines(True)
         first = "" if theta_1 is None else f'"theta_1": {theta_1}, '
         lines[line - 1] = ('{' + first + '"theta_2": 0, "log_prior": -1, '
                            '"log_likelihood": -1}\n')
-        self.check(capsys, str(tmp_path / "draws.jsonl"), _load_jsonl_columns,
-                   "".join(lines), False)
+        path = write_text(tmp_path / "draws.jsonl", "".join(lines))
+        self.check_error(capsys, path, message, line)
 
 
 class TestFlagParsing:
@@ -830,10 +891,15 @@ class TestMalformedFlagProperties:
                    numerical_ok=True)
 
 
-def draw_table_bytes(jsonl, t=30):
+def draw_table_arrays(t):
+    """(draws, log_prior, log_likelihood) of a d = 2 GaussianMeanModel."""
     model = GaussianMeanModel(1.0, gaussian_dataset(2, seed=5))
     draws = model.posterior_sample(t, 6)
-    lp, ll = model.log_prior(draws), model.log_likelihood(draws)
+    return draws, model.log_prior(draws), model.log_likelihood(draws)
+
+
+def draw_table_bytes(jsonl, t=30):
+    draws, lp, ll = draw_table_arrays(t)
     if jsonl:
         return "".join(json.dumps({"theta_1": a, "theta_2": b, "log_prior": c,
                                    "log_likelihood": e}) + "\n"
