@@ -236,42 +236,44 @@ def _rows_from_jsonl(path):
 
 
 def _load_table_rows(path):
-    """Parse a draw table one record at a time: every JSONL file, and a
-    CSV that np.loadtxt does not settle.
-
-    The first record picks the columns. np.fromiter then converts the
-    values of each record, thetas first, into one table that it grows
-    and last trims to the records, so no record is held as Python
-    numbers once it is read. Reports the line and column of the first
-    bad value.
-    """
+    """Parse a draw table one record at a time (every JSONL file, and a
+    CSV that np.loadtxt does not settle): the first record picks the
+    columns, and np.fromiter converts each record's values, thetas first,
+    into one table, so no record is held as Python numbers once read."""
     rows = _rows_from_jsonl(path) if path.endswith(".jsonl") else _rows_from_csv(path)
     first = next(rows, None)
     if first is None:
         raise ParseError("no data rows", line=1)
-    theta_names, density_names = _classify_columns(list(first[1]))
-    columns = ([(n, True) for n in theta_names]
-               + [(n, False) for n in density_names])
-    table = np.fromiter(_values(itertools.chain([first], rows), columns),
+    thetas, densities = _classify_columns(list(first[1]))
+    table = np.fromiter(_values(itertools.chain([first], rows), thetas, densities),
                         dtype=float)
-    table.shape = (-1, len(columns))  # in place, so the table owns its buffer
-    d = len(theta_names)
-    return _checked_columns(table, range(d), range(d, len(columns)))
+    d, k = len(thetas), len(densities)
+    table.shape = (-1, d + k)  # in place, so the table owns its buffer
+    return _checked_columns(table, range(d), range(d, d + k))
 
 
-def _values(rows, columns):
-    """The values of each record, in the order of columns, a list of
-    (name, is_theta); a finite float is taken as it is, and any other
-    value goes through _parse_value."""
+def _values(rows, thetas, densities):
+    """Each record's thetas, then densities: a finite float as it is, any
+    other value through _parse_value. A density sum of +inf is a parse error."""
+    names = thetas + densities
     for line_no, record in rows:
-        for name, _ in columns:
+        for name in names:
             if name not in record:
                 raise ParseError(f"missing column {name!r}", line=line_no)
-        for name, is_theta in columns:
+        for name in thetas:
             value = record[name]
             if type(value) is not float or not -math.inf < value < math.inf:
-                value = _parse_value(value, name, line_no, is_theta)
+                value = _parse_value(value, name, line_no, True)
             yield value
+        log_post = 0.0
+        for name in densities:
+            value = record[name]
+            if type(value) is not float or not -math.inf < value < math.inf:
+                value = _parse_value(value, name, line_no, False)
+            log_post += value
+            yield value
+        if log_post == math.inf:
+            raise ParseError("the log densities sum to +inf", line=line_no)
 
 
 def _load_csv_columns(path):
@@ -316,9 +318,8 @@ def _load_csv_columns(path):
 
 def _checked_columns(table, theta_idx, density_idx):
     """(draws, log_post) from the theta and density columns of a parsed
-    table, or None when a theta is not finite or a density is NaN or
-    +inf, so that the row parser reports the line. The row parser's own
-    table always passes: each of its values has passed _parse_value.
+    table, or None for a theta that is not finite or a density sum that
+    is NaN or +inf, which the row parser (whose table passes) reports.
 
     The table must own its buffer, which becomes the draws: no second
     copy of them is made. The densities are summed from views of their
@@ -328,13 +329,14 @@ def _checked_columns(table, theta_idx, density_idx):
     block's first row. Last, the buffer shrinks in place to the draws,
     so that the other columns are not held while the estimator runs.
     """
-    # left to right from 0, as sum() does: 0.0 + -0.0 is 0.0
+    # left to right from 0, as sum() does: 0.0 + -0.0 is 0.0. A NaN or
+    # +inf density, or two whose sum overflows, leaves a NaN or +inf sum
     log_post = np.zeros(len(table))
-    for i in density_idx:
-        col = table[:, i]
-        if np.isnan(col).any() or (col == np.inf).any():
-            return None
-        log_post += col
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in density_idx:
+            log_post += table[:, i]
+    if not (log_post < np.inf).all():
+        return None
     t, d = len(table), len(theta_idx)
     draws = table.reshape(-1)[:t * d].reshape(t, d)
     buf = np.empty((min(t, _BLOCK_ROWS), d))

@@ -6,11 +6,13 @@ of the importance density on A, and returns the relative SE and
 
     log Zhat^-1 = logsumexp_{t in A} x_t - log N - log T'.
 
-thames() fits a Mahalanobis ellipsoid A to (one half of) the draws and
-passes x_t = -log Lpi_t and N = V(A). With a constrained support S it
-masks by A intersect S, then subtracts log R_hat, R_hat the Monte Carlo
-share of A in S, and adds its variance. All accumulation is in log
-space; the raw-scale sum overflows for |log Lpi| of order 10^3.
+Only the mask and N depend on the radius. _Fit, built once per call from
+(one half of) the draws, holds the rest: x_t = -log Lpi_t, the distances
+to a fitted ellipsoid and the mask of a support S. Its one estimate, at
+an ellipsoid A, masks by A intersect S with N = V(A); thames() then
+subtracts log R_hat, R_hat the Monte Carlo share of A in S, and adds its
+variance. A radius grid estimates at each radius without the S mask.
+Sums are in log space: on the raw scale, |log Lpi| ~ 10^3 overflows.
 """
 
 import math
@@ -43,11 +45,8 @@ from .radius import RadiusPolicy, resolve_radius
 
 @dataclass(frozen=True)
 class ThamesOptions:
-    """Estimator configuration.
-
-    serial_correction is "none" or "ar1". correction, when set, is a
-    ConstrainedCorrectionConfig.
-    """
+    """Estimator configuration; serial_correction is "none" or "ar1", and
+    correction None or a ConstrainedCorrectionConfig."""
 
     radius_policy: RadiusPolicy = RadiusPolicy.sqrt_d_plus_1()
     split: bool = True
@@ -176,15 +175,64 @@ def _estimate(log_terms, inside, log_norm, opts: ThamesOptions):
     return log_recip_z, se, n_inside
 
 
-def _sweep(maha, log_terms, base, grid, opts: ThamesOptions):
-    """base at the grid radius with the smallest finite SE, ties broken
-    toward the smaller radius, from one set of distances. A radius that
-    leaves the set empty or holds a zero-density draw is passed over."""
-    usable = []
-    for c in grid:
+@dataclass(frozen=True)
+class _Fit:
+    """What every radius shares: -log_post over the T' estimation draws,
+    their squared distances and support mask (None without a correction),
+    and the ellipsoid, fitted at the policy's radius (1 for a grid)."""
+
+    log_terms: np.ndarray
+    maha: np.ndarray
+    in_support: np.ndarray
+    ellipsoid: Ellipsoid
+
+    @classmethod
+    def build(cls, draws, log_post, opts: ThamesOptions, e=None):
+        # only the shape is checked up front: a non-finite draw leaves a
+        # non-finite mean (no ellipsoid accepts one) or distance, and each
+        # entry is tested only then or before another error is raised
+        a = draws = _as_matrix(draws, min_rows=2)
         try:
-            _, se, _ = _estimate(log_terms, maha < c * c,
-                                 log_volume(replace(base, radius=c)), opts)
+            lp = as_log_density_vector(log_post, a.shape[0])
+            if e is None:
+                policy = opts.radius_policy
+                c = 1.0 if policy.grid else resolve_radius(policy, a.shape[1])
+                fit_part = a
+                if opts.split:  # fit on the first T // 2 draws
+                    t_fit = a.shape[0] // 2
+                    if t_fit < 2:
+                        raise InvalidInput(f"splitting T={a.shape[0]} draws in "
+                                           "half leaves fewer than 2 on one side")
+                    fit_part, a, lp = a[:t_fit], a[t_fit:], lp[t_fit:]
+            # a non-finite draw, or products that overflow, would warn here
+            with np.errstate(invalid="ignore", over="ignore"):
+                if e is None:
+                    e = _fit(fit_part, c)
+                maha = _mahalanobis_sq(a, e)
+        except ThamesError:
+            _require_finite(draws)
+            raise
+        if not np.isfinite(maha).all():
+            _require_finite(draws)
+        support = None if opts.correction is None else opts.correction.support.contains(a)
+        return cls(-lp, maha, support, e)
+
+    def estimate(self, e, opts: ThamesOptions):
+        """_estimate over the draws strictly inside e and the support."""
+        inside = self.maha < e.radius * e.radius  # boundary ties excluded
+        if self.in_support is not None:
+            inside &= self.in_support
+        return _estimate(self.log_terms, inside, log_volume(e), opts)
+
+
+def _grid_choice(fit, opts: ThamesOptions):
+    """fit's ellipsoid at the grid radius of smallest finite SE without the
+    support mask, ties to the smaller; an empty or zero-density set is skipped."""
+    fit = replace(fit, in_support=None)
+    usable = []
+    for c in opts.radius_policy.grid:
+        try:
+            _, se, _ = fit.estimate(replace(fit.ellipsoid, radius=c), opts)
         except (EmptyTruncationSet, DegenerateTerm):
             continue
         if np.isfinite(se):
@@ -193,79 +241,29 @@ def _sweep(maha, log_terms, base, grid, opts: ThamesOptions):
         raise EmptyTruncationSet(
             "no grid radius gives a finite SE: each left the truncation set "
             "empty, kept a single draw or held a zero-density draw")
-    return replace(base, radius=min(usable)[1])
-
-
-def _truncate(draws, log_post, opts: ThamesOptions, ellipsoid=None):
-    """(log_terms, inside, e, n_outside): -log_post over the estimation
-    draws, the mask of e intersected with the support of opts.correction,
-    the ellipsoid and the count of estimation draws outside the support,
-    or None without a correction.
-
-    Only the shape of the draws is checked up front. The moment pass
-    reads the fit draws and the distance pass the estimation draws, and
-    a non-finite draw leaves a non-finite mean (which no ellipsoid
-    accepts) or distance. So the elementwise finiteness test runs only
-    when a distance is not finite or an error is on its way out, and a
-    non-finite draw wins over every other error, as if tested first.
-    """
-    a = draws = _as_matrix(draws, min_rows=2)
-    e = ellipsoid
-    try:
-        lp = as_log_density_vector(log_post, a.shape[0])
-        grid = opts.radius_policy.grid if e is None else None
-        if e is None:
-            c = 1.0 if grid else resolve_radius(opts.radius_policy, a.shape[1])
-            fit_part = a
-            if opts.split:  # fit on the first T // 2 draws
-                t_fit = a.shape[0] // 2
-                if t_fit < 2:
-                    raise InvalidInput(f"splitting T={a.shape[0]} draws in half "
-                                       "leaves fewer than 2 on one side")
-                fit_part, a, lp = a[:t_fit], a[t_fit:], lp[t_fit:]
-        # a non-finite draw, or a finite one whose products overflow, would
-        # warn here on its way to a non-finite result
-        with np.errstate(invalid="ignore", over="ignore"):
-            if e is None:
-                e = _fit(fit_part, c)
-            maha = _mahalanobis_sq(a, e)
-    except ThamesError:
-        _require_finite(draws)
-        raise
-    if not np.isfinite(maha).all():
-        _require_finite(draws)
-    log_terms = -lp  # log(1/(L pi)) per estimation draw
-    if grid:
-        e = _sweep(maha, log_terms, e, grid, opts)
-
-    inside = maha < e.radius * e.radius  # strict: boundary ties excluded
-    n_outside = None
-    if opts.correction is not None:
-        in_support = opts.correction.support.contains(a)
-        n_outside = in_support.size - int(np.count_nonzero(in_support))
-        inside &= in_support
-    return log_terms, inside, e, n_outside
+    return replace(fit.ellipsoid, radius=min(usable)[1])
 
 
 def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = None):
     """Estimate log Z^-1 (and log Z) from posterior draws.
 
     With splitting enabled, the ellipsoid is fit on the first T // 2
-    draws and the sum runs over the remainder. Passing an explicit
-    ellipsoid bypasses fitting (and splitting) entirely, e.g. for oracle
-    posterior moments. A radius grid reuses one set of distances for
-    every radius and picks the radius with the smallest SE on the
-    estimation draws, which biases that SE low. A support correction is
-    applied after the kernel.
+    draws and the sum runs over the remainder. An explicit ellipsoid
+    bypasses fitting and splitting, e.g. for oracle posterior moments.
+    A grid picks the radius by the SE it reports, which biases it low.
     """
     opts = opts or ThamesOptions()
-    log_terms, inside, e, n_out = _truncate(draws, log_post, opts, ellipsoid)
-    r_hat = r_ci = None
+    fit = _Fit.build(draws, log_post, opts, ellipsoid)
+    e = fit.ellipsoid
+    if ellipsoid is None and opts.radius_policy.grid:
+        e = _grid_choice(fit, opts)
+    r_hat = r_ci = n_out = None
     if opts.correction is not None:
         cfg = opts.correction
+        n_out = fit.in_support.size - int(np.count_nonzero(fit.in_support))
         r_hat, r_ci = estimate_volume_ratio(e, cfg.support, cfg.n_samples,
                                             cfg.seed, opts.ci_level)
-    log_recip_z, se, n_inside = _estimate(log_terms, inside, log_volume(e), opts)
+    log_recip_z, se, n_inside = fit.estimate(e, opts)
     if r_hat is not None:
         # V(A intersect S) is V(A) * R_hat, and the Monte Carlo variance of
         # R_hat, (1 - R)/(n R) on the relative scale, adds to that of the sum
@@ -276,7 +274,7 @@ def thames(draws, log_post, opts: ThamesOptions = None, ellipsoid: Ellipsoid = N
         log_z=-log_recip_z,
         se_recip_rel=se,
         ci_log_z=confidence_interval(log_recip_z, se, opts.ci_level),
-        t_estimation=inside.shape[0],
+        t_estimation=fit.maha.size,
         n_inside=n_inside,
         radius_used=e.radius,
         ellipsoid=e,
@@ -291,6 +289,6 @@ def empirical_scv(draws, log_post, c, opts: ThamesOptions = None):
     from the SE of the sum alone: a volume ratio adds no error to it."""
     opts = replace(opts or ThamesOptions(), radius_policy=RadiusPolicy.fixed(c),
                    serial_correction="none")
-    log_terms, inside, e, _ = _truncate(draws, log_post, opts)
-    _, se, _ = _estimate(log_terms, inside, log_volume(e), opts)
-    return float(inside.shape[0] * se ** 2)
+    fit = _Fit.build(draws, log_post, opts)
+    _, se, _ = fit.estimate(fit.ellipsoid, opts)
+    return float(fit.maha.size * se ** 2)

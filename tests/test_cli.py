@@ -144,8 +144,11 @@ class TestLoadTable:
          "columns 'theta_1' and 'theta_01' are both theta 1"),
         ("theta_1,theta_\u0662,log_unnorm_posterior\n1,2,-1\n", 1,
          "column 'theta_\u0662': theta index is not ASCII digits"),
+        ("theta_1,log_prior,log_likelihood\n1,-1,-1\n2,1e308,1e308\n", 3,
+         "the log densities sum to +inf"),
     ], ids=["one line per record", "after a quoted newline",
-            "one theta index twice", "non-ASCII theta index"])
+            "one theta index twice", "non-ASCII theta index",
+            "densities that overflow"])
     def test_parse_error_names_line(self, tmp_path, text, line, message):
         path = str(tmp_path / "draws.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -172,6 +175,37 @@ class TestLoadTable:
         error = json.loads(out)
         assert error["error"] == "parse" and error["line"] == 5
         assert len(out.encode()) < 300  # a long token is quoted only in part
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_densities_that_overflow_are_a_parse_error(self, tmp_path, capsys,
+                                                       suffix):
+        # 1e308 + 1e308 is +inf: the record's line is named, with no
+        # overflow warning on the way (pyproject.toml makes one an error)
+        rows = [(1.0, -1.0, -1.0)] * 4 + [(2.0, 1e308, 1e308), (3.0, -1.0, -1.0)]
+        names = ("theta_1", "log_prior", "log_likelihood")
+        path = str(tmp_path / f"draws{suffix}")
+        with open(path, "w") as fh:
+            if suffix == ".csv":
+                fh.write(",".join(names) + "\n")
+                fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+            else:
+                fh.writelines(json.dumps(dict(zip(names, row))) + "\n" for row in rows)
+        code, out = run_cli(capsys, "estimate", path)
+        assert code == 3
+        assert json.loads(out) == {"error": "parse", "line": 5 + (suffix == ".csv"),
+                                   "message": "the log densities sum to +inf"}
+
+    def test_densities_that_sum_to_minus_inf_mark_a_zero_density_draw(
+            self, tmp_path):
+        # -1e308 + -1e308 is -inf, as the literal -inf is
+        for text, suffix in (
+                ("theta_1,log_prior,log_likelihood\n1,-1,-1\n2,-1e308,-1e308\n",
+                 ".csv"),
+                ('{"theta_1": 1, "log_prior": -1, "log_likelihood": -1}\n'
+                 '{"theta_1": 2, "log_prior": -1e308, "log_likelihood": -1e308}\n',
+                 ".jsonl")):
+            path = write_text(tmp_path / f"draws{suffix}", text)
+            assert load_table(path)[1].tolist() == [-2.0, -math.inf]
 
     def test_long_bad_csv_field_gives_short_error(self, tmp_path, capsys):
         path = str(tmp_path / "draws.csv")

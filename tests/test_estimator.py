@@ -451,6 +451,27 @@ class TestRadiusTuning:
                      ellipsoid=oracle)
         assert res.radius_used == math.sqrt(3.0)
 
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_grid_choice_ignores_a_support_that_cuts_the_draws(self, seed):
+        # a box cut at the median of theta_1 leaves about half of the
+        # estimation draws out of the sum; the grid picks by the SEs over
+        # every estimation draw, and only the result is masked
+        draws = np.random.default_rng(seed).standard_normal((1000, 2))
+        log_post = -0.5 * np.einsum("ij,ij->i", draws, draws)
+        cut = float(np.median(draws[:, 0]))
+        box = SupportPredicate.box((-50.0, -50.0), (cut, 50.0))
+        opts = ThamesOptions(correction=ConstrainedCorrectionConfig(box, 1000))
+        grid = (1.0, 1.5, 2.0, 2.5, 3.0)
+        res = grid_estimate(draws, log_post, grid, opts)
+        assert res.n_outside_support > 200
+        assert res.radius_used == smallest_se(
+            fixed_radius_estimates(draws, log_post, grid)).radius_used
+        fixed = replace(opts, radius_policy=RadiusPolicy.fixed(res.radius_used))
+        assert_same_result(res, thames(draws, log_post, fixed))
+        # on these draws the masked sums' SEs would pick another radius
+        masked = [empirical_scv(draws, log_post, c, opts) for c in grid]
+        assert grid[int(np.argmin(masked))] != res.radius_used
+
 
 class TestEmpiricalScv:
     def test_consistent_with_reported_se(self):
@@ -472,6 +493,23 @@ class TestEmpiricalScv:
                 SupportPredicate.positive_orthant([0, 1, 2]), n_samples=n)
             opts = ThamesOptions(correction=cfg)
             assert empirical_scv(draws, log_post, 2.0, opts) == plain
+
+    def test_support_masks_the_sum_without_the_ratio_variance(self):
+        # with draws outside S the sum runs over A intersect S, and the SE
+        # is that of the sum: thames()'s SE less R_hat's variance
+        draws = np.random.default_rng(0).standard_normal((4000, 3))
+        log_post = -0.5 * np.einsum("ij,ij->i", draws, draws)
+        cfg = ConstrainedCorrectionConfig(SupportPredicate.positive_orthant([0]),
+                                          n_samples=1000)
+        opts = ThamesOptions(correction=cfg)
+        res = thames(draws, log_post,
+                     replace(opts, radius_policy=RadiusPolicy.fixed(2.0)))
+        assert res.n_outside_support > 500
+        r = res.correction_ratio
+        sum_var = res.se_recip_rel ** 2 - (1.0 - r) / (cfg.n_samples * r)
+        scv = empirical_scv(draws, log_post, 2.0, opts)
+        assert scv == pytest.approx(res.t_estimation * sum_var, rel=1e-9)
+        assert scv != empirical_scv(draws, log_post, 2.0)
 
 
 def _fail_if_called(points):
