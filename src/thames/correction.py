@@ -11,8 +11,19 @@ seeds with seeds.spawn_seed. The sample is drawn in blocks of
 _BLOCK_ROWS points, and block b draws from the seed's Philox stream
 jumped b times (by 2^128 draws each), so blocks are independent streams.
 Each block is drawn, mapped into the ellipsoid and counted on the
-calling thread before the next is drawn, so the count holds one block
-at a time whatever n is.
+calling thread before the next is drawn, into two block-sized arrays
+made once per call: the normals, which the points then overwrite, and
+their product with the scale factor. So a count with a built-in support
+holds two blocks whatever n is (26 MB at d = 100); a callback count also
+holds the C-ordered copy of each block that the callback is given.
+
+The product is g @ scale.T in the rows x d layout of the whole-array
+formula, so BLAS rounds every point as that formula does; scale @ g.T
+would save a transposing pass but rounds differently for some row
+counts and dimensions. The r / |g| scaling writes the product's
+transpose into the normals' memory as a d x rows array, so the scaling,
+the centre and the support test run along one coordinate of every point
+at a time.
 """
 
 import operator
@@ -33,8 +44,10 @@ class SupportPredicate:
     "callback". Simplex membership means the selected coordinates are
     strictly positive and sum to less than 1 (the last, dropped simplex
     coordinate holds the remainder). A callback's func takes an n x d
-    array and returns n booleans. Every check that needs no points runs
-    at construction, however the predicate is built.
+    C-contiguous float64 array, once per block of the volume-ratio count
+    (which may reuse the array for the next block), and returns n
+    booleans. Every check that needs no points runs at construction,
+    however the predicate is built.
     """
 
     kind: str
@@ -111,7 +124,7 @@ class SupportPredicate:
         if self.kind == "simplex":
             sub = pts[:, list(range(d) if self.indices is None else self.indices)]
             return np.all(sub > 0.0, axis=1) & (sub.sum(axis=1) < 1.0)
-        hits = np.asarray(self.func(pts))  # a callback
+        hits = np.asarray(self.func(np.ascontiguousarray(pts)))  # a callback
         if hits.shape != (n,):
             raise InvalidInput(f"support callback returned shape {hits.shape} "
                                f"for {n} points; expected ({n},)")
@@ -135,16 +148,24 @@ class ConstrainedCorrectionConfig:
 _BLOCK_ROWS = 1 << 14
 
 
-def _into_ellipsoid(e: Ellipsoid, g, u):
-    """Map normals g and uniforms u to points center + (g @ scale.T) *
-    (r / |g|), with radius r = c * u^(1/d)."""
-    r = e.radius * u ** (1.0 / e.dim)
+def _into_ellipsoid(e: Ellipsoid, g, u, work=None):
+    """Map normals g (rows x d, C order) and uniforms u to the points
+    center + (g @ scale.T) * (r / |g|), with radius r = c * u^(1/d).
+
+    The points are returned as the transpose of a d x rows array written
+    over g's memory, and u is overwritten with r / |g|; work, a rows x d
+    array, takes the product (one is made when it is None).
+    """
+    u **= 1.0 / e.dim
+    u *= e.radius
     norms = np.sqrt(np.einsum("ij,ij->i", g, g))
     norms[norms == 0.0] = 1.0  # measure-zero guard
-    pts = g @ e.scale.T
-    pts *= (r / norms)[:, None]
-    pts += e.center
-    return pts
+    u /= norms
+    prod = np.matmul(g, e.scale.T, out=work)
+    pts = g.reshape(e.dim, len(g))
+    np.multiply(prod.T, u, out=pts)
+    pts += e.center[:, None]
+    return pts.T
 
 
 def _uniform_blocks(e: Ellipsoid, n, seed):
@@ -154,16 +175,22 @@ def _uniform_blocks(e: Ellipsoid, n, seed):
     Direction from a normalized Gaussian vector, radius from c * u^(1/d).
     Block b draws its normals, then its uniforms, from
     Generator(Philox(key=seed).jumped(b)); block 0 is the seed's own
-    stream. Block b + 1 is drawn only when block b has been consumed.
+    stream. Block b + 1 is drawn only when block b has been consumed,
+    into the same arrays: a yielded block is valid until the next one is
+    drawn, so a caller that keeps the points copies them.
     """
     _check_count(n, "sample")
     bits = _rng(seed).bit_generator
+    size = min(n, _BLOCK_ROWS)
+    normals, work, radii = (np.empty((size, e.dim)), np.empty((size, e.dim)),
+                            np.empty(size))
     for b, start in enumerate(range(0, n, _BLOCK_ROWS)):
         gen = np.random.Generator(bits.jumped(b))
         rows = min(_BLOCK_ROWS, n - start)
-        # arguments are evaluated left to right: the normals, then the radii
-        yield _into_ellipsoid(e, gen.standard_normal((rows, e.dim)),
-                              gen.random(rows))
+        g, u = normals[:rows], radii[:rows]
+        gen.standard_normal(out=g)  # the normals, then the radii
+        gen.random(out=u)
+        yield _into_ellipsoid(e, g, u, work[:rows])
 
 
 def estimate_volume_ratio(e: Ellipsoid, support: SupportPredicate, n, seed,

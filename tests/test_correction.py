@@ -34,8 +34,51 @@ from thames.radius import RadiusPolicy
 
 
 def sample_uniform(e, n, seed):
-    """All n points of the volume ratio's uniform stream, as one array."""
-    return np.concatenate(list(_uniform_blocks(e, n, seed)))
+    """All n points of the volume ratio's uniform stream, as one array;
+    each block is copied, since the next one is drawn into its memory."""
+    return np.concatenate([pts.copy() for pts in _uniform_blocks(e, n, seed)])
+
+
+def reference_points(e, n, seed):
+    """The points of _uniform_blocks(e, n, seed) from the whole-array
+    formula, as one C-ordered array: block b of _BLOCK_ROWS rows draws
+    its normals, then its radii, from the seed's Philox stream jumped b
+    times."""
+    bits = np.random.Philox(key=np.uint64(seed))
+    blocks = []
+    for b, start in enumerate(range(0, n, _BLOCK_ROWS)):
+        rows = min(_BLOCK_ROWS, n - start)
+        gen = np.random.Generator(bits.jumped(b))
+        g = gen.standard_normal((rows, e.dim))
+        r = e.radius * gen.random(rows) ** (1.0 / e.dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+        norms[norms == 0.0] = 1.0
+        blocks.append(e.center + (g @ e.scale.T) * (r / norms)[:, None])
+    return np.concatenate(blocks)
+
+
+def cut_ellipsoid(d):
+    """An ellipsoid around (1, ..., 1) / (d + 1), with a lower-triangular
+    scale, that each support in CUT_SUPPORTS cuts for d from 1 to 100."""
+    rng = np.random.default_rng(d)
+    scale = np.tril(rng.standard_normal((d, d))) / math.sqrt(d)
+    np.fill_diagonal(scale, 0.5 + 0.5 * rng.random(d))
+    c = 1.0 / (d + 1)
+    return Ellipsoid(np.full(d, c), scale * (c / (0.5 + math.sqrt(d) / 3)),
+                     math.sqrt(d + 1.0))
+
+
+# one support of each kind per dimension d, with the indices and bounds
+# that cut_ellipsoid(d) sticks out of
+CUT_SUPPORTS = {
+    "orthant-some": lambda d: SupportPredicate.positive_orthant(range(0, d, 3)),
+    "orthant-all": lambda d: SupportPredicate.positive_orthant(range(d)),
+    "box": lambda d: SupportPredicate.box([0.0] * d, [2.0 / (d + 1)] * d),
+    "simplex": lambda d: SupportPredicate.simplex(),
+    "simplex-some": lambda d: SupportPredicate.simplex(range(0, d, 2)),
+    "callback": lambda d: SupportPredicate.callback(
+        lambda p: p[:, 0] + p[:, -1] > 2.0 / (d + 1)),
+}
 
 
 # a well-formed support of each kind, for dataclasses.replace to break
@@ -143,6 +186,26 @@ class TestSupportPredicate:
         # an empty list would select no coordinate and hold every point
         with pytest.raises(InvalidInput, match="at least one index"):
             make([])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("indices", [None, (0, 2, 3, 5, 6, 7, 8, 9, 10, 1)])
+    def test_simplex_sums_in_index_order(self, indices, order):
+        # the summed coordinates are normalized to sum to 1, so that the
+        # order of the sum decides membership: numpy sums pts[:, indices]
+        # one coordinate at a time, in index order, in either input layout,
+        # and the count passes the simplex its points in the column layout
+        x = np.random.default_rng(0).dirichlet(np.ones(11), 4000)
+        cols = list(range(11) if indices is None else indices)
+        x[:, cols] /= x[:, cols].sum(axis=1, keepdims=True)
+        total = x[:, cols[0]].copy()
+        for i in cols[1:]:
+            total += x[:, i]
+        want = np.all(x[:, cols] > 0.0, axis=1) & (total < 1.0)
+        # a row-ordered (pairwise) sum would decide other rows
+        pairwise = np.ascontiguousarray(x[:, cols]).sum(axis=1) < 1.0
+        assert np.count_nonzero(want != pairwise) > 100
+        got = SupportPredicate.simplex(indices).contains(np.asarray(x, order=order))
+        assert np.array_equal(got, want)
 
     def test_simplex_selected_indices(self):
         pred = SupportPredicate.simplex([0, 2])
@@ -262,7 +325,7 @@ class TestUniformSampling:
 
     def test_blocks_are_drawn_one_at_a_time(self, monkeypatch):
         # block b + 1's stream is made only when block b has been taken,
-        # so a count holds one block whatever n is
+        # so a count's memory does not grow with n
         made = []
         generator = np.random.Generator
 
@@ -337,15 +400,33 @@ class TestVolumeRatio:
             estimate_volume_ratio(e, SupportPredicate.unbounded(), 100, seed=0,
                                   ci_level=level)
 
-    @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-                                   33_333])
-    def test_counts_the_sampled_points(self, n):
-        # the blockwise count sees exactly the points the sampler returns
-        e = Ellipsoid(np.array([0.3, -0.2, 0.1]), np.eye(3), 1.5)
-        support = SupportPredicate.positive_orthant([0, 2])
+    @pytest.mark.parametrize("d, n, kind", [
+        (d, n, kind) for d in (1, 3, 10, 100)
+        for n in (_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 33_333)
+        for kind in CUT_SUPPORTS])
+    def test_counts_the_sampled_points(self, d, n, kind):
+        # the blockwise count, on transposed blocks, accepts exactly the
+        # C-ordered whole-array points that the support accepts
+        e = cut_ellipsoid(d)
+        support = CUT_SUPPORTS[kind](d)
         r_hat, _ = estimate_volume_ratio(e, support, n, seed=5)
-        pts = sample_uniform(e, n, seed=5)
-        assert r_hat == support.contains(pts).mean()
+        assert 0.0 < r_hat < 1.0
+        assert r_hat == support.contains(reference_points(e, n, 5)).mean()
+
+    def test_callback_gets_c_ordered_blocks(self):
+        # once per block, on a copy in the n x d row layout
+        d, n = 3, 2 * _BLOCK_ROWS + 5
+        e = cut_ellipsoid(d)
+        seen = []
+
+        def record(pts):
+            seen.append(pts.copy())
+            assert pts.dtype == np.float64 and pts.flags.c_contiguous
+            return pts[:, 0] > pts[:, 1]
+
+        estimate_volume_ratio(e, SupportPredicate.callback(record), n, seed=5)
+        assert [len(pts) for pts in seen] == [_BLOCK_ROWS, _BLOCK_ROWS, 5]
+        assert np.array_equal(np.concatenate(seen), reference_points(e, n, 5))
 
     def test_callback_error_stops_the_count(self):
         # blocks are drawn and counted on the calling thread, one after the
@@ -386,6 +467,22 @@ class TestVolumeRatio:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_memory_holds_two_blocks(self):
+        # at d = 100 a block of _BLOCK_ROWS points takes 13 MB; a count
+        # holds the normals, which the points overwrite, and their product
+        # with the scale factor, and a third block would take it past 39 MB
+        d = 100
+        e = Ellipsoid(np.full(d, 2.5), np.eye(d), math.sqrt(d + 1.0))
+        support = SupportPredicate.positive_orthant(range(d))
+        tracemalloc.start()
+        try:
+            r_hat, _ = estimate_volume_ratio(e, support, 200_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < r_hat < 1.0
+        assert peak < 32e6
 
     def test_quarter_plane_oracle(self):
         # orthant through the center of a spherical ellipsoid: ratio 1/4
