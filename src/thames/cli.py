@@ -238,8 +238,8 @@ def _rows_from_jsonl(path):
 def _load_table_rows(path):
     """Parse a draw table one record at a time (every JSONL file, and a
     CSV that np.loadtxt does not settle): the first record picks the
-    columns, and np.fromiter converts each record's values, thetas first,
-    into one table, so no record is held as Python numbers once read."""
+    columns, and np.fromiter converts each record's thetas and density
+    sum into one (T, d + 1) table, holding no record as Python numbers."""
     rows = _rows_from_jsonl(path) if path.endswith(".jsonl") else _rows_from_csv(path)
     first = next(rows, None)
     if first is None:
@@ -247,14 +247,15 @@ def _load_table_rows(path):
     thetas, densities = _classify_columns(list(first[1]))
     table = np.fromiter(_values(itertools.chain([first], rows), thetas, densities),
                         dtype=float)
-    d, k = len(thetas), len(densities)
-    table.shape = (-1, d + k)  # in place, so the table owns its buffer
-    return _checked_columns(table, range(d), range(d, d + k))
+    d = len(thetas)
+    table.shape = (-1, d + 1)  # in place, so the table owns its buffer
+    return _checked_columns(table, range(d), [d])
 
 
 def _values(rows, thetas, densities):
-    """Each record's thetas, then densities: a finite float as it is, any
-    other value through _parse_value. A density sum of +inf is a parse error."""
+    """Each record's thetas, then the sum of its densities, left to right
+    from 0.0 as _checked_columns sums. A value that is not a finite float
+    goes through _parse_value; a density sum of +inf is a parse error."""
     names = thetas + densities
     for line_no, record in rows:
         for name in names:
@@ -271,9 +272,9 @@ def _values(rows, thetas, densities):
             if type(value) is not float or not -math.inf < value < math.inf:
                 value = _parse_value(value, name, line_no, False)
             log_post += value
-            yield value
         if log_post == math.inf:
             raise ParseError("the log densities sum to +inf", line=line_no)
+        yield log_post
 
 
 def _load_csv_columns(path):

@@ -73,6 +73,10 @@ def _check_count(value, what):
 
 
 def _check_level(level):
-    """Raise InvalidInput unless level is a real number in (0, 1)."""
+    """Raise InvalidInput unless level is a real number in (0, 1) whose
+    two-sided normal z, the quantile at 0.5 * (1 + level), is finite."""
     if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
         raise InvalidInput(f"confidence level must be in (0, 1), got {level!r:.40}")
+    if 0.5 * (1.0 + level) == 1.0:  # rounds to 1 at the largest double below 1
+        raise InvalidInput(f"confidence level {level!r:.40} is too close to 1: "
+                           "its two-sided normal z is infinite")

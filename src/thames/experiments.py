@@ -1,22 +1,18 @@
 """The built-in replication experiments behind ``thames replicate``.
 
-Each experiment is a task builder ``(seed, reps) -> [task]``; a task
-takes no arguments, runs one setting and returns its CSV rows.
-``EXPERIMENTS`` lists each builder with its CSV name and header, and
-``run`` runs the tasks one after another and returns the rows in memory,
-in task order. A setting's draws live only inside its task, so they are
-freed before the next setting is drawn: one generator of rows for a
-whole experiment held two settings' draws at once and raised the peak
-RSS of ``replicate``.
+Each experiment is a function ``(seed, reps) -> [row]`` that returns
+its CSV rows in memory. ``EXPERIMENTS`` lists each with its CSV name
+and header, and ``run`` checks the arguments and calls it. A setting
+that draws its own sample runs in one call of a local function, so its
+draws are freed when that call returns, before the next one is drawn.
 
 The estimator and the models are called through their modules, so a
 wrapper set on a module attribute, such as a tracing span, sees every call.
-Each builder imports ``models`` when it runs, so that ``estimate``,
+Each experiment imports ``models`` when it runs, so that ``estimate``,
 ``correct`` and ``scv``, which import this module for the CLI's
 experiment names, do not load it.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -51,19 +47,19 @@ def gaussian_t(seed, reps):
     exact = model.exact_log_marginal()
     opts = estimator.ThamesOptions()
 
-    def task(i, t):
+    def row(i, t):
         draws = model.posterior_sample(t, spawn_seed(seed, 1 + i))
         try:
             res = estimator.thames(draws, model.log_post(draws), opts)
         except NumericalError:
             # tiny T can leave the fitted ellipsoid empty; record the
             # failed run instead of aborting the grid
-            return [(t, math.nan, exact, math.nan, math.nan, math.nan, "false")]
+            return (t, math.nan, exact, math.nan, math.nan, math.nan, "false")
         covered = res.ci_log_z[0] <= exact <= res.ci_log_z[1]
-        return [(t, res.log_z, exact, res.log_z - exact,
-                 res.ci_log_z[0], res.ci_log_z[1], str(bool(covered)).lower())]
+        return (t, res.log_z, exact, res.log_z - exact,
+                res.ci_log_z[0], res.ci_log_z[1], str(bool(covered)).lower())
 
-    return [functools.partial(task, i, t) for i, t in enumerate(GAUSSIAN_T_GRID)]
+    return [row(i, t) for i, t in enumerate(GAUSSIAN_T_GRID)]
 
 
 def gaussian_d(seed, reps):
@@ -73,7 +69,7 @@ def gaussian_d(seed, reps):
     opts_split = estimator.ThamesOptions(split=True)
     opts_nosplit = estimator.ThamesOptions(split=False)
 
-    def task(index, d, rep):
+    def rows(index, d, rep):
         data_seed = spawn_seed(seed, 2 * index)
         draw_seed = spawn_seed(seed, 2 * index + 1)
         model = models.GaussianMeanModel(
@@ -91,8 +87,7 @@ def gaussian_d(seed, reps):
                 for variant, res in fits]
 
     settings = [(d, rep) for d in GAUSSIAN_D_GRID for rep in range(reps)]
-    return [functools.partial(task, index, d, rep)
-            for index, (d, rep) in enumerate(settings)]
+    return [r for index, (d, rep) in enumerate(settings) for r in rows(index, d, rep)]
 
 
 def dirmult(seed, reps):
@@ -100,7 +95,7 @@ def dirmult(seed, reps):
     from the prior, the latter with the simplex volume-ratio adjustment."""
     from . import models
 
-    def task(index, regime, d, rep, mu):
+    def row(index, regime, d, rep, mu):
         data_seed = spawn_seed(seed, 3 * index + 1)
         draw_seed = spawn_seed(seed, 3 * index + 2)
         model = models.DirMultModel(
@@ -114,11 +109,11 @@ def dirmult(seed, reps):
             support=model.support(), n_samples=1000, seed=draw_seed ^ 1)
         adjusted = estimator.thames(draws, log_post,
                                     estimator.ThamesOptions(correction=corr_cfg))
-        return [(regime, d, rep, plain.log_z, adjusted.log_z, exact,
-                 plain.log_z - exact, adjusted.log_z - plain.log_z,
-                 plain.se_recip_rel)]
+        return (regime, d, rep, plain.log_z, adjusted.log_z, exact,
+                plain.log_z - exact, adjusted.log_z - plain.log_z,
+                plain.se_recip_rel)
 
-    tasks = []
+    rows = []
     for regime in ("fixed", "stochastic"):
         for d in DIRMULT_D_GRID:
             # one true frequency vector per (regime, d), shared by all
@@ -126,8 +121,8 @@ def dirmult(seed, reps):
             mu = (np.full(d + 1, 1.0 / (d + 1)) if regime == "fixed" else
                   models.dirmult_mu(d + 1, DIRMULT_A0, spawn_seed(seed, 100_000 + d)))
             for rep in range(reps):
-                tasks.append(functools.partial(task, len(tasks), regime, d, rep, mu))
-    return tasks
+                rows.append(row(len(rows), regime, d, rep, mu))
+    return rows
 
 
 def prostate(seed, reps):
@@ -136,15 +131,14 @@ def prostate(seed, reps):
 
     opts = estimator.ThamesOptions(split=False)
 
-    def task(i, k, model):
+    def row(i, k, model):
         draws = model.posterior_sample(PROSTATE_T, spawn_seed(seed, i))
         res = estimator.thames(draws, model.log_post(draws), opts)
-        return [(f"M{k}", k, model.exact_log_marginal(), res.log_z,
-                 res.ci_log_z[0], res.ci_log_z[1])]
+        return (f"M{k}", k, model.exact_log_marginal(), res.log_z,
+                res.ci_log_z[0], res.ci_log_z[1])
 
     nested = sorted(models.prostate_models(sigma2=PROSTATE_SIGMA2, alpha=0.5).items())
-    return [functools.partial(task, i, k, model)
-            for i, (k, model) in enumerate(nested)]
+    return [row(i, k, model) for i, (k, model) in enumerate(nested)]
 
 
 def toy(seed, reps):
@@ -159,12 +153,8 @@ def toy(seed, reps):
     log_lik = model.log_likelihood(draws)
     opts = estimator.ThamesOptions(split=False)  # radius sqrt(d + 1), d = 2
 
-    def task(upto):
-        res = estimator.thames(draws[:upto], log_post[:upto], opts)
-        return [(upto, res.log_z, estimator.harmonic_mean_log_z(log_lik[:upto]),
-                 exact)]
-
-    return [functools.partial(task, upto)
+    return [(upto, estimator.thames(draws[:upto], log_post[:upto], opts).log_z,
+             estimator.harmonic_mean_log_z(log_lik[:upto]), exact)
             for upto in range(TOY_STRIDE, TOY_T + 1, TOY_STRIDE)]
 
 
@@ -186,10 +176,10 @@ EXPERIMENTS = {
 
 
 def run(name, seed, reps):
-    """The rows of experiment name, in task order."""
+    """The CSV rows of experiment name."""
     if name not in EXPERIMENTS:
         raise InvalidInput(f"unknown experiment {name!r:.40}; expected one of "
                            + ", ".join(sorted(EXPERIMENTS)))
     _check_seed(seed)
     _check_count(reps, "replication")
-    return [row for task in EXPERIMENTS[name][0](seed, reps) for row in task()]
+    return EXPERIMENTS[name][0](seed, reps)

@@ -78,7 +78,7 @@ class RadiusPolicy:
     def optimal(cls):
         return cls("optimal")
 
-    # kept only while bench/ times grid_tune_d100; ROADMAP item 3 deletes it
+    # kept only while bench/ times grid_tune_d100; ROADMAP item 2 deletes it
     @classmethod
     def empirical_grid(cls, cs):
         return cls("grid", grid=cs)

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thames import estimator, experiments, radius
@@ -774,6 +774,16 @@ class TestCorrectCommand:
         assert error["error"] == "usage"
         assert error["message"].startswith(f"argument {argv[-2]}: ")
 
+    def test_level_whose_z_is_infinite_fails_before_input_is_read(self, tmp_path,
+                                                                  capsys):
+        # the largest double below 1: 0.5 * (1 + level) rounds to 1
+        missing = str(tmp_path / "missing.csv")
+        code, out = run_cli(capsys, "estimate", missing, "--ci", "0.9999999999999999")
+        assert code == 2
+        error = json.loads(out)
+        assert list(error) == ["error", "message"] and error["error"] == "usage"
+        assert error["message"].startswith("argument --ci: ")
+
     def test_estimate_takes_no_seed(self, tmp_path, capsys):
         # estimate draws no random number, so --seed belongs to correct only
         path = str(tmp_path / "draws.csv")
@@ -895,7 +905,11 @@ class TestMalformedFlagProperties:
         self.check(["correct", small_table, f"--support={text}"], "--support",
                    numerical_ok=True)
 
+    # the doubles next to 0 and 1; arbitrary text does not reach them
     @given(flag_text("0.", "1e"))
+    @example(text="5e-324")
+    @example(text="0.9999999999999999")
+    @example(text="1.0000000000000002")
     @settings(max_examples=40, deadline=None)
     def test_ci(self, small_table, text):
         self.check(["estimate", small_table, f"--ci={text}"], "--ci")
@@ -1135,6 +1149,19 @@ class TestReplicateCommand:
         assert run_cli(capsys, *argv, "--out", str(out_b))[0] == 0
         name = EXPERIMENTS["gaussian-d"][1]
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_peak_memory_does_not_grow_with_reps(self):
+        # a setting's draws are freed before the next setting is drawn; a
+        # d = 50 setting held over would add at least 4 MB
+        peaks = []
+        for reps in (1, 3):
+            tracemalloc.start()
+            try:
+                experiments.run("gaussian-d", 0, reps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2e6
 
     @pytest.mark.parametrize("name, seed, reps, message", [
         ("gaussian-d", 0, 2.5, "^replication count"),

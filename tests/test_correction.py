@@ -393,7 +393,9 @@ class TestVolumeRatio:
                                   200, seed=0)
         assert not hasattr(exc_info.value, "ci")
 
-    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+    # 0.9999999999999999: the largest double below 1, whose z is infinite
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan"),
+                                       0.9999999999999999])
     def test_rejects_bad_level(self, level):
         e = Ellipsoid(np.zeros(2), np.eye(2), 1.0)
         with pytest.raises(InvalidInput):

@@ -239,6 +239,18 @@ class TestConfidenceInterval:
         with pytest.raises(InvalidInput):
             confidence_interval(0.0, 0.1, 1.5)
 
+    def test_rejects_level_whose_z_is_infinite(self):
+        # 0.5 * (1 + level) rounds to 1 for the largest double below 1,
+        # where NormalDist.inv_cdf raises StatisticsError
+        top = 0.9999999999999999
+        for call in (lambda: confidence_interval(0.0, 0.1, top),
+                     lambda: ThamesOptions(ci_level=top)):
+            with pytest.raises(InvalidInput, match="too close to 1"):
+                call()
+        # the next double down has a finite z
+        lower, upper = confidence_interval(0.0, 0.01, 0.9999999999999998)
+        assert math.isfinite(lower) and math.isfinite(upper)
+
     def test_rejects_negative_se(self):
         with pytest.raises(InvalidInput,
                            match="^standard error must be nonnegative$"):
