@@ -25,10 +25,10 @@ byte-identical output.
 Start-up cost: no module of the package imports scipy, so every
 command loads only numpy and the standard library. ``scv``'s HPD mass
 and the ``chisq_median`` radius come from ``radius.chi2_cdf``, a finite
-sum for integer d. Each command imports only what it runs: ``thames``
-resolves its public names on first use, ``estimate``, ``correct`` and
-``scv`` never import ``thames.models``, and ``hashlib`` (with OpenSSL)
-is imported only to checksum an input file.
+sum for integer d. Each command imports only what it runs: no core
+module imports ``thames.models``, so ``estimate``, ``correct`` and
+``scv`` never load it, and ``hashlib`` (with OpenSSL) is imported only
+to checksum an input file.
 """
 
 import argparse
@@ -118,26 +118,28 @@ _THETA_RE = re.compile(r"^theta_(\d+)$")
 _BLOCK_ROWS = 2048
 
 
-def _classify_columns(names):
-    """(theta names in index order, density names) from distinct column names."""
+def _classify_columns(names, line):
+    """(theta names in index order, density names) from distinct column
+    names, read on the given line: a CSV's header, or a JSONL file's first
+    record."""
     thetas = {}
     for name in names:
         m = _THETA_RE.match(name)
         if m:
             if not m.group(1).isascii():  # \d and int() take any Unicode digit
                 raise ParseError(f"column {name!r}: theta index is not ASCII "
-                                 "digits", line=1)
+                                 "digits", line=line)
             i = int(m.group(1))
             if i in thetas:  # theta_1 and theta_01
                 raise ParseError(f"columns {thetas[i]!r} and {name!r} are both "
-                                 f"theta {i}", line=1)
+                                 f"theta {i}", line=line)
             thetas[i] = name
     if not thetas:
-        raise ParseError("no theta_<i> columns found", line=1)
+        raise ParseError("no theta_<i> columns found", line=line)
     expected = list(range(1, len(thetas) + 1))
     if sorted(thetas) != expected:
         raise ParseError(
-            f"theta columns must be numbered 1..d, got {sorted(thetas)}", line=1)
+            f"theta columns must be numbered 1..d, got {sorted(thetas)}", line=line)
     theta_names = [thetas[i] for i in expected]
     if "log_prior" in names and "log_likelihood" in names:
         density_names = ["log_prior", "log_likelihood"]
@@ -146,7 +148,7 @@ def _classify_columns(names):
     else:
         raise ParseError(
             "need log_prior + log_likelihood columns or log_unnorm_posterior",
-            line=1)
+            line=line)
     return theta_names, density_names
 
 
@@ -207,6 +209,8 @@ def _rows_from_csv(path):
         first = next(records, None)
         if first is None:
             raise ParseError("empty file", line=1)
+        if not first[1]:  # csv.reader reads a blank line as no fields
+            raise ParseError("the header line is empty", line=1)
         names = [h.strip() for h in first[1]]
         for line_no, row in records:
             if not row:
@@ -240,11 +244,13 @@ def _load_table_rows(path):
     CSV that np.loadtxt does not settle): the first record picks the
     columns, and np.fromiter converts each record's thetas and density
     sum into one (T, d + 1) table, holding no record as Python numbers."""
-    rows = _rows_from_jsonl(path) if path.endswith(".jsonl") else _rows_from_csv(path)
+    jsonl = path.endswith(".jsonl")
+    rows = _rows_from_jsonl(path) if jsonl else _rows_from_csv(path)
     first = next(rows, None)
     if first is None:
         raise ParseError("no data rows", line=1)
-    thetas, densities = _classify_columns(list(first[1]))
+    # a CSV's names are its header's, a JSONL file's its first record's
+    thetas, densities = _classify_columns(list(first[1]), first[0] if jsonl else 1)
     table = np.fromiter(_values(itertools.chain([first], rows), thetas, densities),
                         dtype=float)
     d = len(thetas)
@@ -295,7 +301,7 @@ def _load_csv_columns(path):
             return None
         names = [h.strip() for h in header]
         try:
-            theta_names, density_names = _classify_columns(list(dict.fromkeys(names)))
+            theta_names, density_names = _classify_columns(list(dict.fromkeys(names)), 1)
         except ParseError:
             return None
         # the last of duplicated names wins, as in _rows_from_csv's dict(zip(...))

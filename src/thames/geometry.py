@@ -219,25 +219,21 @@ def _mahalanobis_sq(a, e: Ellipsoid):
 def logsumexp(a):
     """log(sum(exp(a))) over every entry of a, as scipy.special.logsumexp
     computes it: shifted by the maximum, whose entries are counted apart
-    and enter through log1p. The unshifted sum is taken only when that
-    result is not finite (all entries -inf, an entry +inf or NaN, or an
-    overflow); empty input gives -inf.
+    and enter through log1p. A maximum that is not finite (NaN, +inf, or
+    every entry -inf) is itself the result; empty input gives -inf.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return -math.inf
     a_max = a.max()
-    if np.isfinite(a_max):
-        at_max = a == a_max
-        n_max = np.count_nonzero(at_max)
-        x = a - a_max
-        x[at_max] = -np.inf
-        s = np.sum(np.exp(x, out=x))
-        out = np.log1p(s / n_max if s else s) + np.log(n_max) + a_max
-        if np.isfinite(out):
-            return float(out)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return float(np.log(np.sum(np.exp(a))))
+    if not np.isfinite(a_max):
+        return float(a_max)
+    at_max = a == a_max
+    n_max = np.count_nonzero(at_max)
+    x = a - a_max
+    x[at_max] = -np.inf
+    s = np.sum(np.exp(x, out=x))
+    return float(np.log1p(s / n_max) + np.log(n_max) + a_max)
 
 
 def _two_sided_z(level):

@@ -146,9 +146,10 @@ class TestLoadTable:
          "column 'theta_\u0662': theta index is not ASCII digits"),
         ("theta_1,log_prior,log_likelihood\n1,-1,-1\n2,1e308,1e308\n", 3,
          "the log densities sum to +inf"),
+        ("\n\ntheta_1,other\n1,2\n", 1, "the header line is empty"),
     ], ids=["one line per record", "after a quoted newline",
             "one theta index twice", "non-ASCII theta index",
-            "densities that overflow"])
+            "densities that overflow", "blank first line"])
     def test_parse_error_names_line(self, tmp_path, text, line, message):
         path = str(tmp_path / "draws.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -415,6 +416,17 @@ JSONL_INGEST_CASES = [
      ("missing column 'log_unnorm_posterior'", 2)),
     ("no density columns", '{"theta_1": 1, "other": 2}\n',
      ("need log_prior + log_likelihood columns or log_unnorm_posterior", 1)),
+    # a JSONL file's columns are its first record's, so a column error
+    # names that record's line
+    ("no density columns after two blank lines",
+     "\n\n" + '{"theta_1": 1, "other": 2}\n',
+     ("need log_prior + log_likelihood columns or log_unnorm_posterior", 3)),
+    ("two keys for one theta index after two blank lines",
+     "\n\n" + '{"theta_1": 1, "theta_01": 2, "log_unnorm_posterior": -1}\n',
+     ("columns 'theta_1' and 'theta_01' are both theta 1", 3)),
+    ("theta_2 alone after two blank lines",
+     "\n\n" + '{"theta_2": 1, "log_unnorm_posterior": -1}\n',
+     ("theta columns must be numbered 1..d, got [2]", 3)),
     ("only blank lines", "\n \n", ("no data rows", 1)),
     ("empty file", "", ("no data rows", 1)),
 ]
@@ -1242,6 +1254,62 @@ class TestStartupImports:
         assert replicate["models"] == ["thames.models"]
         assert scv["hashlib"] == []
         assert estimate["futures"] == []
+
+    def test_package_exports_the_core_and_leaves_models_a_submodule(self):
+        # in a fresh interpreter: import thames loads the estimator and not
+        # the models, each core name is its module's object, every error
+        # class imports from thames, and thames.models imports both ways
+        core = {
+            "correction": ["ConstrainedCorrectionConfig", "SupportPredicate",
+                           "estimate_volume_ratio"],
+            "errors": ["DegenerateTerm", "EmptyTruncationSet", "InsufficientData",
+                       "InvalidInput", "NotPositiveDefinite", "NumericalFailure",
+                       "Overflow", "ParseError", "ThamesError",
+                       "ZeroSupportOverlap"],
+            "estimator": ["ThamesOptions", "ThamesResult", "ar1_inflation",
+                          "confidence_interval", "empirical_scv",
+                          "harmonic_mean_log_z", "thames", "variance_recip_iid"],
+            "geometry": ["Ellipsoid", "cholesky_factor", "log_volume",
+                         "mahalanobis_sq"],
+            "radius": ["OptimalRadius", "RadiusPolicy", "chi_square_median_radius",
+                       "log_f", "optimal_radius", "resolve_radius", "scv_bounds",
+                       "scv_normal"],
+            "seeds": ["spawn_seed"],
+        }
+        assert sum(map(len, core.values())) == 34
+        script = textwrap.dedent(f"""
+            import importlib, inspect, json, sys
+            import thames
+            result = {{"loaded": ["thames.estimator" in sys.modules,
+                                  "thames.models" in sys.modules]}}
+
+            def not_exported(module, names):
+                source = importlib.import_module(f"thames.{{module}}")
+                return [name for name in names
+                        if getattr(thames, name, None) is not getattr(source, name)]
+
+            result["core"] = [name for module, names in {core!r}.items()
+                              for name in not_exported(module, names)]
+            result["errors"] = [name for name, obj in vars(thames.errors).items()
+                                if inspect.isclass(obj) and issubclass(obj, Exception)
+                                and obj.__module__ == "thames.errors"]
+            result["errors_not_exported"] = not_exported("errors", result["errors"])
+            from thames import models
+            import thames.models
+            result["models"] = (models is sys.modules["thames.models"] is thames.models
+                                and hasattr(models, "GaussianMeanModel"))
+            print(json.dumps(result))
+        """)
+        src = os.path.dirname(os.path.dirname(radius.__file__))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 0, run.stderr
+        result = json.loads(run.stdout)
+        assert result["loaded"] == [True, False]
+        assert result["core"] == []
+        assert "NumericalError" in result["errors"] and len(result["errors"]) == 11
+        assert result["errors_not_exported"] == []
+        assert result["models"] is True
 
     @pytest.mark.parametrize("argv", [
         ["scv", "--dmax", "200"],

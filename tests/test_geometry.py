@@ -297,6 +297,8 @@ class TestLogSumExp:
         ([], -np.inf),
         ([-np.inf, -np.inf], -np.inf),
         ([0.0, np.inf], np.inf),
+        # the largest double three times: log 3 is below half its ulp
+        ([1.7976931348623157e308] * 3, 1.7976931348623157e308),
     ])
     def test_edge_cases_match_scipy(self, a, expected):
         assert logsumexp(a) == expected == special.logsumexp(a)
