@@ -26,6 +26,7 @@ the centre and the support test run along one coordinate of every point
 at a time.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -208,13 +209,13 @@ def estimate_volume_ratio(e: Ellipsoid, support: SupportPredicate, n, seed,
         _check_count(n, "sample")
         _check_seed(seed)
         return 1.0, (1.0, 1.0)
-    hits = sum(np.count_nonzero(support.contains(pts))
+    hits = sum(int(np.count_nonzero(support.contains(pts)))
                for pts in _uniform_blocks(e, n, seed))
     if hits == 0:
         raise ZeroSupportOverlap(
             "no uniform sample fell inside the support; increase n or check "
             "the support specification")
     r_hat = hits / n
-    half = _two_sided_z(ci_level) * np.sqrt(r_hat * (1.0 - r_hat) / n)
+    half = _two_sided_z(ci_level) * math.sqrt(r_hat * (1.0 - r_hat) / n)
     return r_hat, (max(0.0, r_hat - half), min(1.0, r_hat + half))
 

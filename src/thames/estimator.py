@@ -12,7 +12,9 @@ to a fitted ellipsoid and the mask of a support S. Its one estimate, at
 an ellipsoid A, masks by A intersect S with N = V(A); thames() then
 subtracts log R_hat, R_hat the Monte Carlo share of A in S, and adds its
 variance. A radius grid estimates at each radius without the S mask.
-Sums are in log space: on the raw scale, |log Lpi| ~ 10^3 overflows.
+log Zhat^-1 sums in log space, since on the raw scale |log Lpi| ~ 10^3
+overflows; the relative SE is scale-free, so it sums the terms divided
+by the largest, each in [0, 1].
 """
 
 import math
@@ -84,22 +86,24 @@ class ThamesResult:
     n_outside_support: int = None  # correction: estimation draws outside S
 
 
-def variance_recip_iid(log_terms, t_estimation, log_vol):
+def variance_recip_iid(log_terms, t_estimation):
     """Relative standard error of the mean of per-draw reciprocal terms.
 
     log_terms holds log(1/(L pi)) for the included draws only; excluded
-    draws contribute exact zeros. The shifted-moment identity
-    m2/m1^2 = exp(lse(2x) - 2 lse(x) + log T') keeps everything finite
-    even when the terms themselves underflow on the raw scale.
+    draws contribute exact zeros. The relative SE does not depend on the
+    scale of the terms, so with x the terms over the largest,
+    SE^2 = (T' sum x^2 / (sum x)^2 - 1) / T'. Each x lies in [0, 1], so
+    no term overflows whatever the scale of log_terms, and one more than
+    1.8e308 below the largest is the 0 it rounds to.
     """
-    lt = np.asarray(log_terms, dtype=float).reshape(-1) - log_vol
+    lt = np.asarray(log_terms, dtype=float).reshape(-1)
     if lt.size < 2:
         raise InsufficientData("need at least 2 included draws for a variance")
     if t_estimation < lt.size:
         raise InvalidInput("t_estimation smaller than the included count")
-    log_m1 = logsumexp(lt) - np.log(t_estimation)
-    log_m2 = logsumexp(2.0 * lt) - np.log(t_estimation)
-    ratio = np.exp(log_m2 - 2.0 * log_m1)  # m2 / m1^2 >= 1
+    with np.errstate(over="ignore"):
+        x = np.exp(lt - lt.max())
+    ratio = t_estimation * np.einsum("i,i->", x, x) / x.sum() ** 2  # m2 / m1^2 >= 1
     return float(np.sqrt(max(ratio - 1.0, 0.0) / t_estimation))
 
 
@@ -135,12 +139,14 @@ def ar1_inflation(log_series):
     m = np.max(ls)
     if m == -np.inf:
         return 1.0
-    x = np.exp(ls - m)  # scale-free; autocorrelation is scale invariant
+    with np.errstate(over="ignore"):  # an entry 1.8e308 below m is -inf
+        x = np.exp(ls - m)  # scale-free; autocorrelation is scale invariant
     xc = x - x.mean()
-    denom = np.dot(xc, xc)
+    # numpy's own reductions: a BLAS dot rounds by its thread count
+    denom = np.einsum("i,i->", xc, xc)
     if denom == 0.0:
         return 1.0
-    phi = np.dot(xc[:-1], xc[1:]) / denom
+    phi = np.einsum("i,i->", xc[:-1], xc[1:]) / denom
     factor = 1.0 / (1.0 - phi) ** 2 if phi < 1.0 else np.inf
     return float(np.clip(factor, 1.0, 1e6))
 
@@ -169,9 +175,9 @@ def _estimate(log_terms, inside, log_norm, opts: ThamesOptions):
         )
     t_est = inside.shape[0]
     log_recip_z = float(logsumexp(lt_in) - log_norm - np.log(t_est))
-    se = variance_recip_iid(lt_in, t_est, log_norm) if n_inside >= 2 else np.inf
+    se = variance_recip_iid(lt_in, t_est) if n_inside >= 2 else math.inf
     if opts.serial_correction == "ar1":
-        se *= np.sqrt(ar1_inflation(np.where(inside, log_terms, -np.inf)))
+        se *= math.sqrt(ar1_inflation(np.where(inside, log_terms, -np.inf)))
     return log_recip_z, se, n_inside
 
 

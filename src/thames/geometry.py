@@ -230,7 +230,8 @@ def logsumexp(a):
         return float(a_max)
     at_max = a == a_max
     n_max = np.count_nonzero(at_max)
-    x = a - a_max
+    with np.errstate(over="ignore"):  # an entry 1.8e308 below a_max is -inf
+        x = a - a_max
     x[at_max] = -np.inf
     s = np.sum(np.exp(x, out=x))
     return float(np.log1p(s / n_max) + np.log(n_max) + a_max)

@@ -295,7 +295,7 @@ def test_criterion_11_harmonic_mean_instability(announce):
 
     hm_before = harmonic_mean_log_z(log_lik)
     hm_after = harmonic_mean_log_z(log_lik2)
-    hm_se = variance_recip_iid(-log_lik, t, 0.0)  # delta-method SE of log HM
+    hm_se = variance_recip_iid(-log_lik, t)  # delta-method SE of log HM
     hm_jump_in_se = abs(hm_after - hm_before) / hm_se
 
     ok = thames_change == 0.0 and hm_jump_in_se > 10.0

@@ -610,6 +610,27 @@ class TestEstimateCommand:
         _, out2 = run_cli(capsys, *argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("flags", [[], ["--ar1"]], ids=["iid", "ar1"])
+    def test_densities_at_the_largest_doubles(self, tmp_path, capsys, flags):
+        # two estimation-half draws inside the ellipsoid at log densities
+        # +-1.7e308: one reciprocal term is all of the sum, so the SE is
+        # sqrt(99/100) and the interval unbounded above, with no warning
+        x = np.random.default_rng(0).standard_normal((200, 1))
+        lp = np.full(200, -1.0)
+        x[150:152, 0] = 0.0, 0.1
+        lp[150:152] = 1.7e308, -1.7e308
+        path = str(tmp_path / "draws.csv")
+        np.savetxt(path, np.column_stack([x, lp]), delimiter=",", fmt="%.17g",
+                   header="theta_1,log_unnorm_posterior", comments="")
+        code = main(["estimate", path, *flags])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["se_recip_rel"] == 0.99498743710661997
+        assert report["ci_upper"] == "inf"
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = str(tmp_path / "bad.csv")
         with open(path, "w") as fh:

@@ -662,7 +662,7 @@ class TestEstimatorIntegration:
         in_a = mahalanobis_sq(est, e) < e.radius ** 2
         in_s = support.contains(est)
         assert (in_a & ~in_s).any()
-        se_sum = variance_recip_iid(-lp[in_a & in_s], 1000, 0.0)
+        se_sum = variance_recip_iid(-lp[in_a & in_s], 1000)
         r = iid.correction_ratio
         var_r = (1.0 - r) / (400 * r)
         factor = ar1_inflation(np.where(in_a & in_s, -lp, -np.inf))

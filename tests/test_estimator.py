@@ -1,6 +1,10 @@
 """Estimator core: point estimate, variance, intervals, splitting, tuning."""
 
+import inspect
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -44,6 +48,17 @@ def assert_same_result(a, b):
             assert (x.radius, x.log_det_sigma) == (y.radius, y.log_det_sigma)
         else:
             assert x == y, f.name
+
+
+def extreme_table():
+    """200 one-dimensional draws with log density -1, but for two draws of
+    the estimation half, both inside the ellipsoid, at +-1.7e308: one
+    reciprocal term dominates, and the other is 3.4e308 below it."""
+    draws = np.random.default_rng(0).standard_normal((200, 1))
+    log_post = np.full(200, -1.0)
+    draws[150:152, 0] = 0.0, 0.1
+    log_post[150:152] = 1.7e308, -1.7e308
+    return draws, log_post
 
 
 def toy_problem(d=2, t=4000, seed=11):
@@ -190,28 +205,46 @@ class TestVariance:
         x = np.concatenate([terms, np.zeros(3)])
         m1, m2 = x.mean(), (x ** 2).mean()
         expected = math.sqrt((m2 / m1 ** 2 - 1.0) / t_est)
-        got = variance_recip_iid(np.log(terms), t_est, 0.0)
+        got = variance_recip_iid(np.log(terms), t_est)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_log_volume_shift_is_neutral(self):
         terms = np.log(np.array([0.2, 0.5, 0.1]))
-        a = variance_recip_iid(terms, 5, 0.0)
-        b = variance_recip_iid(terms + 3.0, 5, 3.0)
+        a = variance_recip_iid(terms, 5)
+        b = variance_recip_iid(terms + 3.0, 5)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_survives_extreme_log_terms(self):
         terms = np.array([-1500.0, -1501.0, -1499.5])
-        se = variance_recip_iid(terms, 3, 0.0)
+        se = variance_recip_iid(terms, 3)
         assert np.isfinite(se) and se >= 0.0
+
+    def test_exact_at_any_log_scale(self):
+        # the terms over the largest are the same bytes at either offset
+        lt = np.arange(-40, 1) / 8.0
+        x = np.exp(lt)
+        expected = math.sqrt((60 * (x * x).sum() / x.sum() ** 2 - 1.0) / 60)
+        se = variance_recip_iid(lt, 60)
+        assert variance_recip_iid(lt + 2.0 ** 40, 60) == se
+        assert abs(se - expected) <= 1e-15
+
+    @pytest.mark.parametrize("serial", ["none", "ar1"])
+    def test_one_dominant_term_at_the_largest_doubles(self, serial):
+        # T' = 100 terms, one of them all of the sum: SE^2 = (T' - 1) / T'.
+        # Any RuntimeWarning, as from an overflowing shift, fails the test
+        res = thames(*extreme_table(), ThamesOptions(serial_correction=serial))
+        assert res.t_estimation == 100
+        assert res.se_recip_rel == pytest.approx(math.sqrt(99 / 100))
+        assert res.ci_log_z[1] == math.inf
 
     def test_requires_two_terms(self):
         with pytest.raises(InsufficientData):
-            variance_recip_iid(np.array([0.0]), 5, 0.0)
+            variance_recip_iid(np.array([0.0]), 5)
 
     def test_rejects_fewer_draws_than_terms(self):
         with pytest.raises(InvalidInput,
                            match="^t_estimation smaller than the included count$"):
-            variance_recip_iid(np.zeros(3), 2, 0.0)
+            variance_recip_iid(np.zeros(3), 2)
 
 
 class TestConfidenceInterval:
@@ -287,6 +320,47 @@ class TestSerialCorrection:
         with pytest.raises(InvalidInput):
             ar1_inflation(np.zeros(5))
 
+    def test_entry_far_below_the_largest_is_zero(self):
+        # the shift of -1.7e308 by 1.7e308 overflows to -inf, whose term is 0
+        series = np.array([1.7e308] * 10 + [-1.7e308])
+        assert ar1_inflation(series) == ar1_inflation([0.0] * 10 + [-np.inf])
+
+    def test_same_bytes_under_any_blas_thread_count(self):
+        script = (
+            "import numpy as np\n"
+            "from thames.estimator import ar1_inflation\n"
+            "rng = np.random.default_rng(5)\n"
+            "x = np.empty(20_000)\n"
+            "x[0] = 0.0\n"
+            "eps = rng.standard_normal(x.size)\n"
+            "for i in range(1, x.size):\n"
+            "    x[i] = 0.9 * x[i - 1] + eps[i]\n"
+            "print(repr(ar1_inflation(0.1 * x)))\n")
+        src = os.path.dirname(os.path.dirname(inspect.getfile(ar1_inflation)))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]
+
+    def test_result_fields_are_python_floats(self):
+        # the AR(1) factor and the volume ratio are numpy values; the
+        # result holds Python floats, with the correction and without
+        _, draws, lp = toy_problem(d=2, t=2000)
+        cfg = ConstrainedCorrectionConfig(SupportPredicate.positive_orthant([0]),
+                                          n_samples=2000)
+        plain = thames(draws, lp, ThamesOptions(serial_correction="ar1"))
+        res = thames(draws, lp, ThamesOptions(serial_correction="ar1",
+                                               correction=cfg))
+        values = [plain.se_recip_rel, res.log_recip_z, res.log_z,
+                  res.se_recip_rel, res.radius_used, res.correction_ratio,
+                  *res.ci_log_z, *res.correction_ci]
+        assert [type(v) for v in values] == [float] * len(values)
+
     def test_rejects_bad_factor(self):
         # the correction is named, "none" or "ar1"; a number is not one
         with pytest.raises(InvalidInput):
@@ -308,6 +382,10 @@ class TestHarmonicMean:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):
             harmonic_mean_log_z(np.array([-1.0, -np.inf]))
+
+    def test_likelihoods_2e308_apart(self):
+        # the smaller likelihood's term is the whole sum, the other's 0
+        assert harmonic_mean_log_z([1e308, -1e308]) == math.log(2.0) - 1e308
 
 
 def grid_estimate(draws, log_post, grid, opts=None):

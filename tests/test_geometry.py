@@ -306,6 +306,12 @@ class TestLogSumExp:
     def test_nan_propagates(self):
         assert math.isnan(logsumexp([0.0, np.nan]))
 
+    def test_entry_far_below_the_maximum(self):
+        # -1.7e308 shifted by the maximum overflows to -inf, without a
+        # warning, and adds exp(-inf) = 0. Not in the scipy comparison:
+        # scipy.special.logsumexp warns on this input
+        assert logsumexp([1.7e308, -1.7e308]) == 1.7e308
+
 
 class TestLogVolume:
     def test_matches_gammaln_formula(self):
