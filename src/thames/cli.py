@@ -406,8 +406,6 @@ def parse_radius_policy(spec):
 
 def parse_support(spec):
     try:
-        if spec == "unbounded":
-            return SupportPredicate.unbounded()
         if spec == "simplex":
             return SupportPredicate.simplex()
         if spec.startswith("positive:"):
@@ -423,7 +421,7 @@ def parse_support(spec):
     except (InvalidInput, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"support {spec!r}: {exc}")
     raise argparse.ArgumentTypeError(
-        f"unknown support {spec!r}; expected unbounded, positive:i,j,..., "
+        f"unknown support {spec!r}; expected positive:i,j,..., "
         "box:lo:hi,lo:hi,..., or simplex")
 
 
@@ -592,10 +590,10 @@ def build_parser():
     p_cor = sub.add_parser("correct", parents=[table],
                            help="estimate, then adjust for constrained support")
     p_cor.add_argument("--support", type=parse_support, required=True,
-                       help="unbounded | positive:i,j,... | "
-                            "box:lo:hi,lo:hi,... | simplex; indices count "
-                            "from 0, so theta_1..theta_10 are "
-                            "positive:0,...,9")
+                       help="positive:i,j,... | box:lo:hi,lo:hi,... | "
+                            "simplex; indices count from 0, so "
+                            "theta_1..theta_10 are positive:0,...,9; "
+                            "without a support, run estimate")
     p_cor.add_argument("--n", type=_checked(int, _check_count, "sample"), default=100)
     p_cor.add_argument("--seed", type=_checked(int, _check_seed), default=0,
                        help="volume-ratio sample seed, in [0, 2**64)")

@@ -41,14 +41,15 @@ from .seeds import _check_seed, _rng
 class SupportPredicate:
     """Membership test for the posterior support.
 
-    kind is one of "unbounded", "positive_orthant", "box", "simplex",
-    "callback". Simplex membership means the selected coordinates are
-    strictly positive and sum to less than 1 (the last, dropped simplex
-    coordinate holds the remainder). A callback's func takes an n x d
-    C-contiguous float64 array, once per block of the volume-ratio count
-    (which may reuse the array for the next block), and returns n
-    booleans. Every check that needs no points runs at construction,
-    however the predicate is built.
+    kind is one of "positive_orthant", "box", "simplex", "callback".
+    There is no kind for a support that holds every point: the estimate
+    without a correction is that estimate. Simplex membership means the
+    selected coordinates are strictly positive and sum to less than 1
+    (the last, dropped simplex coordinate holds the remainder). A
+    callback's func takes an n x d C-contiguous float64 array, once per
+    block of the volume-ratio count (which may reuse the array for the
+    next block), and returns n booleans. Every check that needs no points
+    runs at construction, however the predicate is built.
     """
 
     kind: str
@@ -58,8 +59,7 @@ class SupportPredicate:
     func: object = None
 
     def __post_init__(self):
-        if self.kind not in ("unbounded", "positive_orthant", "box", "simplex",
-                             "callback"):
+        if self.kind not in ("positive_orthant", "box", "simplex", "callback"):
             raise InvalidInput(f"unknown support kind {self.kind!r}")
         try:  # indices and bounds become tuples; a missing one is a TypeError
             if self.indices is not None or self.kind == "positive_orthant":
@@ -84,10 +84,6 @@ class SupportPredicate:
             raise InvalidInput("support callback needs a callable func")
 
     @classmethod
-    def unbounded(cls):
-        return cls("unbounded")
-
-    @classmethod
     def positive_orthant(cls, indices):
         return cls("positive_orthant", indices=indices)
 
@@ -107,8 +103,6 @@ class SupportPredicate:
         """Vectorized membership for an n x d matrix; returns a bool vector."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n, d = pts.shape
-        if self.kind == "unbounded":
-            return np.ones(n, dtype=bool)
         if self.indices is not None and max(self.indices) >= d:
             raise InvalidInput("support indices out of range")
         if self.kind == "positive_orthant":
@@ -199,16 +193,11 @@ def estimate_volume_ratio(e: Ellipsoid, support: SupportPredicate, n, seed,
     """Monte Carlo volume ratio R_hat with a normal-approximation CI.
 
     The points of _uniform_blocks(e, n, seed) are counted block by
-    block, so memory does not grow with n; an unbounded support draws
-    nothing and gives exactly 1. Raises ZeroSupportOverlap when
-    no sample lands in the support, since dividing by R_hat = 0 is
+    block, so memory does not grow with n. Raises ZeroSupportOverlap
+    when no sample lands in the support, since dividing by R_hat = 0 is
     undefined.
     """
     _check_level(ci_level)
-    if support.kind == "unbounded":  # every point is inside: R is exactly 1
-        _check_count(n, "sample")
-        _check_seed(seed)
-        return 1.0, (1.0, 1.0)
     hits = sum(int(np.count_nonzero(support.contains(pts)))
                for pts in _uniform_blocks(e, n, seed))
     if hits == 0:

@@ -193,10 +193,6 @@ class DirMultModel:
             raise InvalidInput(f"every count row must sum to l={self.l}")
 
     @property
-    def n(self):
-        return self.data.shape[0]
-
-    @property
     def k(self):
         return self.data.shape[1]
 

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import binomtest
 
 from thames.correction import SupportPredicate, estimate_volume_ratio
 from thames.estimator import (
@@ -302,3 +303,26 @@ def test_criterion_11_harmonic_mean_instability(announce):
     announce(11, f"injected outlier: truncated estimate changed by "
                  f"{thames_change}, harmonic mean jumped {hm_jump_in_se:.0f} "
                  f"SEs > 10", ok)
+
+
+# Standard normal draws with log Z = 3 and every option at its default.
+# Counts at the commit that added this gate (Wilson 95% intervals):
+#   d = 2,  T = 10 000, reps 0-399:   380/400,   [0.924, 0.967]
+#   d = 10, T = 1000,   reps 0-3999:  3789/4000, [0.940, 0.954]
+# Not gated: d = 10 with reps 0-499 alone (462/500, [0.897, 0.944]) shows
+# how much one seed set moves the count, and d = 5, T = 200 (926/1000,
+# [0.908, 0.941]) is a known under-coverage.
+@pytest.mark.parametrize("d, t, reps", [(2, 10_000, 400), (10, 1000, 4000)])
+def test_criterion_12_seeded_interval_coverage(announce, d, t, reps):
+    log_z = 3.0
+    covered = 0
+    for rep in range(reps):
+        draws = np.random.Generator(np.random.Philox(rep)).standard_normal((t, d))
+        log_post = (-0.5 * np.einsum("ij,ij->i", draws, draws)
+                    - 0.5 * d * math.log(2.0 * math.pi) + log_z)
+        lower, upper = thames(draws, log_post).ci_log_z
+        covered += lower <= log_z <= upper
+    ci = binomtest(covered, reps).proportion_ci(method="wilson")
+    announce(12, f"d = {d}, T = {t}: the 95% interval covers log Z in "
+                 f"{covered}/{reps} seeds, Wilson [{ci.low:.3f}, "
+                 f"{ci.high:.3f}] holds 0.95", ci.low <= 0.95 <= ci.high)

@@ -111,10 +111,6 @@ MALFORMED = [
 
 
 class TestSupportPredicate:
-    def test_unbounded(self):
-        pts = np.array([[1.0, -5.0], [0.0, 0.0]])
-        assert SupportPredicate.unbounded().contains(pts).all()
-
     def test_positive_orthant_selected_indices(self):
         pred = SupportPredicate.positive_orthant([0])
         got = pred.contains(np.array([[1.0, -2.0], [-0.1, 3.0], [0.0, 1.0]]))
@@ -222,14 +218,13 @@ class TestSupportPredicate:
             if build == "direct":
                 SupportPredicate(kind, **changes)
             else:
-                replace(VALID.get(kind, SupportPredicate.unbounded()),
+                replace(VALID.get(kind, SupportPredicate.positive_orthant([0])),
                         kind=kind, **changes)
 
     def test_classmethods_equal_direct_construction(self):
         def func(p):
             return p[:, 0] > 0.0
 
-        assert SupportPredicate.unbounded() == SupportPredicate("unbounded")
         assert (SupportPredicate.positive_orthant([0, 2])
                 == SupportPredicate.positive_orthant(np.array([0, 2]))
                 == SupportPredicate("positive_orthant", indices=(0, 2)))
@@ -366,25 +361,6 @@ class TestVolumeRatio:
         assert r_hat == pytest.approx(0.5, abs=0.02)
         assert ci[0] < r_hat < ci[1]
 
-    def test_unbounded_is_exactly_one(self):
-        e = Ellipsoid(np.zeros(3), np.eye(3), 1.0)
-        r_hat, ci = estimate_volume_ratio(e, SupportPredicate.unbounded(),
-                                          100, seed=0)
-        assert r_hat == 1.0 and ci == (1.0, 1.0)
-
-    def test_unbounded_draws_nothing(self, monkeypatch):
-        def no_sampling(*args):
-            raise AssertionError("an unbounded support drew a sample")
-
-        monkeypatch.setattr("thames.correction._uniform_blocks", no_sampling)
-        e = Ellipsoid(np.zeros(3), np.eye(3), 1.0)
-        unbounded = SupportPredicate.unbounded()
-        assert estimate_volume_ratio(e, unbounded, 10 ** 9, seed=0) == (
-            1.0, (1.0, 1.0))
-        for n, seed in [(0, 0), (100, -1)]:  # the count and seed are checked
-            with pytest.raises(InvalidInput):
-                estimate_volume_ratio(e, unbounded, n, seed)
-
     def test_zero_overlap_raises(self):
         # at R_hat = 0 the interval would be [0, 0]: the error carries none
         e = Ellipsoid(np.full(2, -100.0), np.eye(2), 1.0)
@@ -399,8 +375,8 @@ class TestVolumeRatio:
     def test_rejects_bad_level(self, level):
         e = Ellipsoid(np.zeros(2), np.eye(2), 1.0)
         with pytest.raises(InvalidInput):
-            estimate_volume_ratio(e, SupportPredicate.unbounded(), 100, seed=0,
-                                  ci_level=level)
+            estimate_volume_ratio(e, SupportPredicate.positive_orthant([0]),
+                                  100, seed=0, ci_level=level)
 
     @pytest.mark.parametrize("d, n, kind", [
         (d, n, kind) for d in (1, 3, 10, 100)
@@ -539,7 +515,8 @@ class TestApplyCorrection:
         assert res.ellipsoid.radius == plain.ellipsoid.radius
 
     def test_ratio_one_is_identity(self):
-        plain, res = corrected(SupportPredicate.unbounded())
+        # the box holds the whole ellipsoid, so every count is a hit
+        plain, res = corrected(SupportPredicate.box((-10.0, -10.0), (10.0, 10.0)))
         assert res.correction_ratio == 1.0 and res.correction_ci == (1.0, 1.0)
         assert res.n_outside_support == 0
         for f in fields(res):
@@ -712,8 +689,8 @@ class TestEstimatorIntegration:
 
     def test_config_validates_sample_count(self):
         with pytest.raises(InvalidInput):
-            ConstrainedCorrectionConfig(support=SupportPredicate.unbounded(),
-                                        n_samples=0)
+            ConstrainedCorrectionConfig(
+                support=SupportPredicate.positive_orthant([0]), n_samples=0)
 
     @pytest.mark.parametrize("support", ["positive:0", None, ORTHANT.contains])
     def test_config_rejects_a_support_that_is_not_a_predicate(self, support):
@@ -724,14 +701,14 @@ class TestEstimatorIntegration:
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, None])
     def test_config_validates_seed(self, seed):
         with pytest.raises(InvalidInput):
-            ConstrainedCorrectionConfig(support=SupportPredicate.unbounded(),
-                                        seed=seed)
+            ConstrainedCorrectionConfig(
+                support=SupportPredicate.positive_orthant([0]), seed=seed)
 
     @pytest.mark.parametrize("n_samples", [20000.0, "100"])
     def test_config_rejects_non_integer_count(self, n_samples):
         with pytest.raises(InvalidInput, match="^sample count .* is not an integer"):
-            ConstrainedCorrectionConfig(support=SupportPredicate.unbounded(),
-                                        n_samples=n_samples)
+            ConstrainedCorrectionConfig(
+                support=SupportPredicate.positive_orthant([0]), n_samples=n_samples)
 
     def test_config_accepts_numpy_integers(self):
         cfg = ConstrainedCorrectionConfig(SupportPredicate.positive_orthant([0]),

@@ -124,7 +124,7 @@ class TestPointEstimate:
     @pytest.mark.parametrize("field, value", [
         ("radius_policy", "optimal"),
         ("radius_policy", None),
-        ("correction", SupportPredicate.unbounded()),
+        ("correction", SupportPredicate.positive_orthant([0])),
         ("correction", "positive:0"),
         ("ci_level", "0.9"),
         ("ci_level", None),
@@ -306,6 +306,10 @@ class TestSerialCorrection:
 
     def test_constant_series_is_one(self):
         assert ar1_inflation(np.zeros(100)) == 1.0
+
+    def test_series_without_a_term_is_one(self):
+        # every draw excluded: there is no term to correlate
+        assert ar1_inflation(np.full(100, -np.inf)) == 1.0
 
     def test_correlated_series_inflates(self):
         x = np.empty(5000)
