@@ -820,6 +820,18 @@ class TestCorrectCommand:
         assert error["error"] == "usage"
         assert error["message"].startswith(f"argument {argv[-2]}: ")
 
+    def test_unbounded_support_is_a_usage_error(self, tmp_path, capsys):
+        # estimate is the estimate without a support; the file is not read
+        path = str(tmp_path / "bad.csv")
+        with open(path, "w") as fh:
+            fh.write("theta_1,log_unnorm_posterior\n1.0,oops\n")
+        code, out = run_cli(capsys, "correct", path, "--support", "unbounded")
+        assert code == 2
+        assert out.splitlines() == [json.dumps({
+            "error": "usage",
+            "message": "argument --support: unknown support 'unbounded'; expected "
+                       "positive:i,j,..., box:lo:hi,lo:hi,..., or simplex"})]
+
     def test_level_whose_z_is_infinite_fails_before_input_is_read(self, tmp_path,
                                                                   capsys):
         # the largest double below 1: 0.5 * (1 + level) rounds to 1

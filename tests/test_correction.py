@@ -132,6 +132,12 @@ class TestSupportPredicate:
         with pytest.raises(InvalidInput):
             SupportPredicate.box(lower, upper)
 
+    def test_kind_unbounded_is_unknown(self):
+        # the estimate without a support is the estimate without a correction
+        assert not hasattr(SupportPredicate, "unbounded")
+        with pytest.raises(InvalidInput, match="unknown support kind 'unbounded'"):
+            SupportPredicate("unbounded")
+
     def test_simplex(self):
         pred = SupportPredicate.simplex()
         got = pred.contains(np.array([[0.2, 0.3], [0.6, 0.6], [-0.1, 0.5]]))
