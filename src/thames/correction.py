@@ -143,13 +143,13 @@ class ConstrainedCorrectionConfig:
 _BLOCK_ROWS = 1 << 14
 
 
-def _into_ellipsoid(e: Ellipsoid, g, u, work=None):
+def _into_ellipsoid(e: Ellipsoid, g, u, work):
     """Map normals g (rows x d, C order) and uniforms u to the points
     center + (g @ scale.T) * (r / |g|), with radius r = c * u^(1/d).
 
     The points are returned as the transpose of a d x rows array written
     over g's memory, and u is overwritten with r / |g|; work, a rows x d
-    array, takes the product (one is made when it is None).
+    array, takes the product.
     """
     u **= 1.0 / e.dim
     u *= e.radius

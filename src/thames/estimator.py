@@ -135,7 +135,7 @@ def ar1_inflation(log_series):
     """
     ls = np.asarray(log_series, dtype=float).reshape(-1)
     if ls.size < 10:
-        raise InvalidInput("need at least 10 terms for an AR(1) fit")
+        raise InvalidInput(f"need at least 10 terms for an AR(1) fit, got {ls.size}")
     m = np.max(ls)
     if m == -np.inf:
         return 1.0

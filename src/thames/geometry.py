@@ -34,9 +34,20 @@ _BLOCK_ROWS = 2048
 _TILE_ROWS = 64
 
 
+def _as_real(values, what):
+    """values as a float array; InvalidInput unless they are real numbers
+    (numpy would cast complex ones to their real parts with a warning)."""
+    try:
+        if not np.iscomplexobj(values):
+            return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{what} is not numeric") from None
+    raise InvalidInput(f"{what} is complex")
+
+
 def _as_matrix(draws, min_rows=1):
     """draws as a T x d float matrix, its shape checked but not its values."""
-    a = np.asarray(draws, dtype=float)
+    a = _as_real(draws, "draw matrix")
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
@@ -66,10 +77,7 @@ def as_log_density_vector(values, n_rows):
 
     -inf encodes a zero-density draw; +inf and NaN are rejected.
     """
-    try:
-        v = np.asarray(values, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        raise InvalidInput("log-density vector is not numeric") from None
+    v = _as_real(values, "log-density vector").reshape(-1)
     if v.shape[0] != n_rows:
         raise InvalidInput(
             f"log-density vector has length {v.shape[0]}, expected {n_rows}"
@@ -197,7 +205,7 @@ def mahalanobis_sq(theta, e: Ellipsoid):
     length-T vector accordingly. Rows are standardized a block at a
     time, so no T x d temporary is made.
     """
-    t = np.asarray(theta, dtype=float)
+    t = _as_real(theta, "theta")
     single = t.ndim == 1
     out = _mahalanobis_sq(as_draw_matrix(t.reshape(1, -1) if single else t), e)
     return float(out[0]) if single else out

@@ -704,6 +704,7 @@ class TestEstimateCommand:
         lines = out.splitlines()
         assert len(lines) == 1
         report = json.loads(lines[0])
+        assert list(report) == ["error", "message"]
         assert report["error"] == "usage"
         assert "unknown radius policy" in report["message"]
 
@@ -733,14 +734,21 @@ class TestEstimateCommand:
          "--seed", "18446744073709551616"],
         ["replicate", "gaussian-d", "--out", "unused", "--reps", "0"],
         ["replicate", "gaussian-d", "--out", "unused", "--reps", "-1"],
+        ["estimate", "short.csv", "--ar1"],
     ])
     def test_usage_error_is_one_json_line(self, capsys, tmp_path, monkeypatch,
                                           argv):
         monkeypatch.chdir(tmp_path)
+        if "short.csv" in argv:  # at seed 3 no draw falls inside the ellipsoid
+            write_draw_csv("short.csv", t=12, seed=4)
         code, out = run_cli(capsys, *argv)
         assert code == 2
         lines = out.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+        if "--ar1" in argv:
+            # the AR(1) fit counts the 6 draws of the estimation half
+            assert json.loads(lines[0])["message"].endswith(
+                "AR(1) fit, got 6")
         if argv[:1] == ["replicate"] and len(argv) > 4:
             # a rejected value names its flag, and nothing is written
             assert argv[-2] in json.loads(lines[0])["message"]
@@ -1243,6 +1251,14 @@ class TestStartupImports:
     def test_estimate_correct_and_replicate_do_not_load_scipy(self, tmp_path):
         path = str(tmp_path / "draws.csv")
         write_draw_csv(path, t=1000)
+        draws, log_post = load_table(path)
+        jsonl = str(tmp_path / "draws.jsonl")
+        with open(jsonl, "w") as fh:
+            fh.writelines(json.dumps({"theta_1": a, "theta_2": b,
+                                      "log_unnorm_posterior": lp}) + "\n"
+                          for (a, b), lp in zip(draws.tolist(), log_post.tolist()))
+        # a box that cuts the posterior through its mean in theta_1
+        box = f"box:{format_float(draws[:, 0].mean())}:1000,-1000:1000"
         report = str(tmp_path / "modules.json")
         script = textwrap.dedent(f"""
             import json, sys
@@ -1264,17 +1280,21 @@ class TestStartupImports:
             result["scv"] = run(["scv", "--dmax", "3"])
             result["estimate"] = run(
                 ["estimate", {path!r}],
+                ["estimate", {jsonl!r}],
                 ["estimate", {path!r}, "--radius", "fixed:2", "--ar1"],
                 ["estimate", {path!r}, "--radius", "optimal"],
                 ["estimate", {path!r}, "--radius", "chisq_median"],
                 # a volume ratio of one block or of seven starts no thread
                 ["correct", {path!r}, "--support", "positive:0,1", "--n", "1000"],
                 ["correct", {path!r}, "--support", "positive:0,1", "--n", "100000"],
+                ["correct", {path!r}, "--support", {box!r}, "--n", "50000"],
             )
             result["replicate"] = run(
                 ["replicate", "gaussian-T", "--out", {str(tmp_path)!r}],
                 ["replicate", "toy-figure7", "--out", {str(tmp_path)!r}],
                 ["replicate", "dirmult", "--reps", "1", "--out", {str(tmp_path)!r}],
+                ["replicate", "gaussian-d", "--reps", "1", "--out", {str(tmp_path)!r}],
+                ["replicate", "prostate", "--reps", "1", "--out", {str(tmp_path)!r}],
             )
             with open({report!r}, "w") as fh:
                 json.dump(result, fh)
@@ -1285,8 +1305,8 @@ class TestStartupImports:
                        stdout=subprocess.DEVNULL)
         with open(report) as fh:
             scv, estimate, replicate = json.load(fh).values()
-        assert scv["codes"] == [0] and estimate["codes"] == [0] * 6
-        assert replicate["codes"] == [0] * 3
+        assert scv["codes"] == [0] and estimate["codes"] == [0] * 8
+        assert replicate["codes"] == [0] * 5
         assert scv["scipy"] == estimate["scipy"] == replicate["scipy"] == []
         assert scv["models"] == estimate["models"] == []
         assert replicate["models"] == ["thames.models"]

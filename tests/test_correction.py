@@ -322,7 +322,7 @@ class TestUniformSampling:
         gen.standard_normal(out=g)
         gen.random(out=u)
         block = next(itertools.islice(_uniform_blocks(e, n, seed=11), b, None))
-        assert np.array_equal(block, _into_ellipsoid(e, g, u))
+        assert np.array_equal(block, _into_ellipsoid(e, g, u, np.empty_like(g)))
 
     def test_blocks_are_drawn_one_at_a_time(self, monkeypatch):
         # block b + 1's stream is made only when block b has been taken,

@@ -329,7 +329,18 @@ class TestSerialCorrection:
         series = np.array([1.7e308] * 10 + [-1.7e308])
         assert ar1_inflation(series) == ar1_inflation([0.0] * 10 + [-np.inf])
 
-    def test_same_bytes_under_any_blas_thread_count(self):
+    def test_same_bytes_under_any_blas_thread_count(self, tmp_path):
+        # ar1_inflation alone, and estimate --ar1 on a 40 000-row AR(1) chain
+        rng = np.random.default_rng(5)
+        ar = np.empty((40_000, 2))
+        ar[0] = rng.standard_normal(2)
+        eps = rng.standard_normal(ar.shape) * np.sqrt(1.0 - 0.9 ** 2)
+        for i in range(1, len(ar)):
+            ar[i] = 0.9 * ar[i - 1] + eps[i]
+        chain = str(tmp_path / "chain.csv")
+        np.savetxt(chain, np.column_stack([ar, -0.5 * (ar * ar).sum(axis=1)]),
+                   delimiter=",", fmt="%.17g",
+                   header="theta_1,theta_2,log_unnorm_posterior", comments="")
         script = (
             "import numpy as np\n"
             "from thames.estimator import ar1_inflation\n"
@@ -345,11 +356,13 @@ class TestSerialCorrection:
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            run = subprocess.run([sys.executable, "-c", script], env=env,
-                                 capture_output=True, text=True)
-            assert run.returncode == 0, run.stderr
-            outs.append(run.stdout)
-        assert outs[0] == outs[1]
+            for argv in (["-c", script],
+                         ["-m", "thames.cli", "estimate", chain, "--ar1"]):
+                run = subprocess.run([sys.executable, *argv], env=env,
+                                     capture_output=True)
+                assert run.returncode == 0 and run.stderr == b"", run.stderr
+                outs.append(run.stdout)
+        assert outs[:2] == outs[2:]
 
     def test_result_fields_are_python_floats(self):
         # the AR(1) factor and the volume ratio are numpy values; the

@@ -11,6 +11,7 @@ from scipy import special
 from scipy.linalg import solve_triangular
 
 from thames.errors import InvalidInput, NotPositiveDefinite
+from thames.estimator import thames
 from thames.geometry import (
     _BLOCK_ROWS,
     Ellipsoid,
@@ -25,6 +26,14 @@ from thames.geometry import (
 )
 
 RNG = np.random.default_rng(12345)
+
+# draws and densities that are not real numbers; numpy's ComplexWarning is
+# a RuntimeWarning, which the pytest configuration makes an error
+NOT_REAL = pytest.mark.parametrize("values, message", [
+    ([["a", "b"]] * 4, "is not numeric$"),
+    ([[1.0, 2.0], [1.0], [2.0, 3.0], [0.0, 1.0]], "is not numeric$"),
+    (np.arange(8.0).reshape(4, 2) + 1j, "is complex$"),
+], ids=["strings", "ragged", "complex"])
 
 
 class TestValidators:
@@ -68,6 +77,22 @@ class TestValidators:
             as_log_density_vector([0.0], 2)
         with pytest.raises(InvalidInput, match="not numeric"):
             as_log_density_vector(["a", "b"], 2)
+
+    @NOT_REAL
+    @pytest.mark.parametrize("check", [
+        as_draw_matrix,
+        lambda a: Ellipsoid.fit(a, 1.0),
+        lambda a: mahalanobis_sq(a, Ellipsoid(np.zeros(2), np.eye(2), 1.0)),
+        lambda a: thames(a, np.zeros(4)),
+    ], ids=["as_draw_matrix", "Ellipsoid.fit", "mahalanobis_sq", "thames"])
+    def test_rejects_draws_that_are_not_real_numbers(self, check, values, message):
+        with pytest.raises(InvalidInput, match=message):
+            check(values)
+
+    @NOT_REAL
+    def test_rejects_log_densities_that_are_not_real_numbers(self, values, message):
+        with pytest.raises(InvalidInput, match="^log-density vector " + message):
+            as_log_density_vector(values, 8)
 
 
 class TestMoments:
